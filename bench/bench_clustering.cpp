@@ -1,12 +1,17 @@
 /// \file bench_clustering.cpp
-/// Microbenchmarks of Berger–Rigoutsos clustering on interface-band flag
-/// clouds like the ones regridding produces.
+/// Microbenchmarks of box generation: Berger–Rigoutsos clustering on
+/// interface-band flag clouds like the ones regridding produces, the whole
+/// synthetic trace step (flag, cluster, clip, coalesce) and coalescing.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "amr/cluster_br.hpp"
+#include "amr/trace_generator.hpp"
+#include "core/experiment.hpp"
+#include "geom/box_algebra.hpp"
 
 namespace {
 
@@ -63,5 +68,59 @@ void BM_ClusterEfficiencySweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterEfficiencySweep)->Arg(30)->Arg(55)->Arg(70)->Arg(90);
+
+// One regrid of the paper's RM3D trace: band flagging, clustering at three
+// levels, clipping and coalescing -- the box-generation step every
+// runtime-driven experiment repeats.
+void BM_TraceBoxesAtEpoch(benchmark::State& state) {
+  const SyntheticAmrTrace trace(exp::paper_trace_config());
+  const int epoch = static_cast<int>(state.range(0));
+  std::size_t boxes = 0;
+  for (auto _ : state) {
+    const BoxList list = trace.boxes_at_epoch(epoch);
+    boxes = list.size();
+    benchmark::DoNotOptimize(list.boxes().data());
+  }
+  state.counters["boxes"] = static_cast<double>(boxes);
+}
+BENCHMARK(BM_TraceBoxesAtEpoch)->Arg(0)->Arg(20)->Arg(39);
+
+// An n x n x 1 lattice of 4^3 boxes, listed back to front so most merges
+// are found late in the scan; coalesces into a single box.
+void BM_Coalesce(benchmark::State& state) {
+  const auto n = static_cast<coord_t>(state.range(0));
+  std::vector<Box> lattice;
+  for (coord_t i = 0; i < n; ++i)
+    for (coord_t j = 0; j < n; ++j)
+      lattice.push_back(
+          Box::from_extent(IntVec(4 * i, 4 * j, 0), IntVec(4, 4, 4), 1));
+  std::reverse(lattice.begin(), lattice.end());
+  for (auto _ : state) {
+    auto merged = coalesce(lattice);
+    benchmark::DoNotOptimize(merged.data());
+  }
+  state.counters["boxes"] = static_cast<double>(lattice.size());
+}
+BENCHMARK(BM_Coalesce)->Arg(8)->Arg(16);
+
+/// Box 0 grows strip by strip, each strip arriving as two halves behind n
+/// boxes that merge with nothing.  Every strip merges into box 0, so a scan
+/// that rescans the rows it skipped over pays O(n) rows per merge.
+void BM_CoalesceStrips(benchmark::State& state) {
+  const auto n = static_cast<coord_t>(state.range(0));
+  std::vector<Box> boxes{Box(IntVec(0, 0, 0), IntVec(0, 1, 0), 1)};
+  for (coord_t k = 0; k < n; ++k)
+    boxes.emplace_back(IntVec(0, 0, 2 * k + 2), IntVec(0, 0, 2 * k + 2), 1);
+  for (coord_t s = 1; s <= n; ++s) {
+    boxes.emplace_back(IntVec(s, 0, 0), IntVec(s, 0, 0), 1);
+    boxes.emplace_back(IntVec(s, 1, 0), IntVec(s, 1, 0), 1);
+  }
+  for (auto _ : state) {
+    auto merged = coalesce(boxes);
+    benchmark::DoNotOptimize(merged.data());
+  }
+  state.counters["boxes"] = static_cast<double>(boxes.size());
+}
+BENCHMARK(BM_CoalesceStrips)->Arg(32)->Arg(64);
 
 }  // namespace

@@ -152,8 +152,12 @@ ScaleRow run_scale(int nprocs, int iterations) {
   for (int iter = 0; iter < iterations; ++iter) {
     if (iter > 0 && iter % 10 == 0) {
       t += exec.regrid(t, boxes.size(), iter);
-      // Rotate the capacity pattern one rank: quantile cuts shift, boxes
-      // change owners, and the migration path runs at full scale.
+      // Rotate the capacity pattern one rank: meant to shift the quantile
+      // cuts so boxes change owners and migration runs at full scale.
+      // Known no-op: Cluster::heterogeneous varies only peak_rate, which
+      // the Eq. 1 capacities ignore, so `caps` is uniform and rotating it
+      // changes nothing.  Making it bite changes the exp_scale golden, so
+      // it is left for a change of its own (EXPERIMENTS.md, exp_scale).
       std::rotate(caps.begin(), caps.begin() + 1, caps.end());
       PartitionResult next = partition_now(caps);
       t += exec.migrate(current, next, t);

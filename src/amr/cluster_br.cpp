@@ -1,9 +1,11 @@
 #include "amr/cluster_br.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <future>
 #include <iterator>
+#include <limits>
 
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -12,25 +14,51 @@ namespace ssamr {
 
 namespace {
 
-/// Bounding box of a span of points.
-Box bbox_of(const std::vector<IntVec>& pts, std::size_t lo, std::size_t hi,
-            level_t level) {
-  IntVec mn = pts[lo], mx = pts[lo];
-  for (std::size_t i = lo + 1; i < hi; ++i) {
-    mn = min(mn, pts[i]);
-    mx = max(mx, pts[i]);
-  }
-  return Box(mn, mx, level);
-}
+/// Bounding box and flag count of a set of runs, accumulated run by run.
+struct Bounds {
+  IntVec lo = IntVec::splat(std::numeric_limits<coord_t>::max());
+  IntVec hi = IntVec::splat(std::numeric_limits<coord_t>::min());
+  std::int64_t flags = 0;
 
-/// Signature (flag count per plane) of the span along `axis`, within `b`.
-std::vector<std::int64_t> signature(const std::vector<IntVec>& pts,
-                                    std::size_t lo, std::size_t hi,
-                                    const Box& b, int axis) {
-  std::vector<std::int64_t> sig(
-      static_cast<std::size_t>(b.extent()[axis]), 0);
-  for (std::size_t i = lo; i < hi; ++i)
-    ++sig[static_cast<std::size_t>(pts[i][axis] - b.lo()[axis])];
+  void cover(const FlagRun& r) {
+    lo = min(lo, IntVec(r.x0, r.y, r.z));
+    hi = max(hi, IntVec(r.x1, r.y, r.z));
+    flags += r.x1 - r.x0 + 1;
+  }
+};
+
+/// The runs of one recursion node with their bounds.
+struct RunSet {
+  std::vector<FlagRun> runs;
+  Bounds bounds;
+
+  void add(const FlagRun& r) {
+    runs.push_back(r);
+    bounds.cover(r);
+  }
+};
+
+/// Flag count per plane of `b` along each axis, in one pass over the runs.
+/// Along x a run covers a range of planes, so x is built as a difference
+/// array over run ends and prefix-summed; along y and z a run lies in one
+/// plane and adds its length.
+using Signatures = std::array<std::vector<std::int64_t>, kDim>;
+Signatures signatures(const RunSet& s, const Box& b) {
+  const IntVec n = b.extent();
+  const IntVec lo = b.lo();
+  Signatures sig;
+  sig[0].assign(static_cast<std::size_t>(n.x + 1), 0);
+  sig[1].assign(static_cast<std::size_t>(n.y), 0);
+  sig[2].assign(static_cast<std::size_t>(n.z), 0);
+  for (const FlagRun& r : s.runs) {
+    ++sig[0][static_cast<std::size_t>(r.x0 - lo.x)];
+    --sig[0][static_cast<std::size_t>(r.x1 + 1 - lo.x)];
+    const std::int64_t len = r.x1 - r.x0 + 1;
+    sig[1][static_cast<std::size_t>(r.y - lo.y)] += len;
+    sig[2][static_cast<std::size_t>(r.z - lo.z)] += len;
+  }
+  for (std::size_t i = 1; i < sig[0].size(); ++i) sig[0][i] += sig[0][i - 1];
+  sig[0].pop_back();
   return sig;
 }
 
@@ -41,14 +69,13 @@ struct Cut {
 };
 
 /// Find the most central zero-signature plane usable as a cut.
-Cut find_hole(const std::vector<IntVec>& pts, std::size_t lo, std::size_t hi,
-              const Box& b, coord_t min_size) {
+Cut find_hole(const Signatures& sigs, const Box& b, coord_t min_size) {
   Cut best;
   real_t best_centrality = -1;
   for (int axis = 0; axis < kDim; ++axis) {
     const coord_t n = b.extent()[axis];
     if (n < 2 * min_size) continue;
-    const auto sig = signature(pts, lo, hi, b, axis);
+    const auto& sig = sigs[static_cast<std::size_t>(axis)];
     for (coord_t c = min_size; c <= n - min_size; ++c) {
       // Cutting at offset c puts planes [0,c) left, [c,n) right.  A hole at
       // plane c-1 or c makes the cut clean; we just need a zero plane whose
@@ -70,14 +97,13 @@ Cut find_hole(const std::vector<IntVec>& pts, std::size_t lo, std::size_t hi,
 }
 
 /// Find the strongest inflection (sign change of the signature Laplacian).
-Cut find_inflection(const std::vector<IntVec>& pts, std::size_t lo,
-                    std::size_t hi, const Box& b, coord_t min_size) {
+Cut find_inflection(const Signatures& sigs, const Box& b, coord_t min_size) {
   Cut best;
   std::int64_t best_jump = -1;
   for (int axis = 0; axis < kDim; ++axis) {
     const coord_t n = b.extent()[axis];
     if (n < 2 * min_size || n < 4) continue;
-    const auto sig = signature(pts, lo, hi, b, axis);
+    const auto& sig = sigs[static_cast<std::size_t>(axis)];
     // Laplacian on interior planes: lap[i] = sig[i-1] - 2 sig[i] + sig[i+1]
     std::vector<std::int64_t> lap(sig.size(), 0);
     for (std::size_t i = 1; i + 1 < sig.size(); ++i)
@@ -114,13 +140,30 @@ Cut find_midpoint(const Box& b, coord_t min_size) {
   return cut;
 }
 
-void cluster_recursive(std::vector<IntVec>& pts, std::size_t lo,
-                       std::size_t hi, level_t level,
-                       const ClusterConfig& cfg, int depth,
-                       std::vector<Box>& out) {
-  SSAMR_ASSERT(lo < hi, "empty span in cluster_recursive");
-  const Box b = bbox_of(pts, lo, hi, level);
-  const real_t eff = static_cast<real_t>(hi - lo) /
+/// Distribute `s` over the half-spaces below and from plane `at` of `axis`;
+/// an x cut splits every run that crosses it.  Consumes `s`.
+void split(RunSet s, int axis, coord_t at, RunSet& left, RunSet& right) {
+  left.runs.reserve(s.runs.size());
+  right.runs.reserve(s.runs.size());
+  for (const FlagRun& r : s.runs) {
+    if (axis != 0) {
+      ((axis == 1 ? r.y : r.z) < at ? left : right).add(r);
+    } else if (r.x1 < at) {
+      left.add(r);
+    } else if (r.x0 >= at) {
+      right.add(r);
+    } else {
+      left.add({r.x0, at - 1, r.y, r.z});
+      right.add({at, r.x1, r.y, r.z});
+    }
+  }
+}
+
+void cluster_recursive(RunSet s, level_t level, const ClusterConfig& cfg,
+                       int depth, std::vector<Box>& out) {
+  SSAMR_ASSERT(!s.runs.empty(), "empty run set in cluster_recursive");
+  const Box b(s.bounds.lo, s.bounds.hi, level);
+  const real_t eff = static_cast<real_t>(s.bounds.flags) /
                      static_cast<real_t>(b.cells());
   if (eff >= cfg.efficiency || b.cells() <= cfg.small_box_cells ||
       depth >= cfg.max_depth) {
@@ -128,59 +171,72 @@ void cluster_recursive(std::vector<IntVec>& pts, std::size_t lo,
     return;
   }
 
-  Cut cut = find_hole(pts, lo, hi, b, cfg.min_box_size);
-  if (!cut.found()) cut = find_inflection(pts, lo, hi, b, cfg.min_box_size);
+  const Signatures sigs = signatures(s, b);
+  Cut cut = find_hole(sigs, b, cfg.min_box_size);
+  if (!cut.found()) cut = find_inflection(sigs, b, cfg.min_box_size);
   if (!cut.found()) cut = find_midpoint(b, cfg.min_box_size);
   if (!cut.found()) {
     out.push_back(b);  // nothing can be cut without violating min size
     return;
   }
 
-  const coord_t split_coord = b.lo()[cut.axis] + cut.offset;
-  const auto mid_it = std::partition(
-      pts.begin() + static_cast<std::ptrdiff_t>(lo),
-      pts.begin() + static_cast<std::ptrdiff_t>(hi),
-      [&](IntVec p) { return p[cut.axis] < split_coord; });
-  const auto mid = static_cast<std::size_t>(mid_it - pts.begin());
-  if (mid == lo || mid == hi) {
+  RunSet left, right;
+  split(std::move(s), cut.axis, b.lo()[cut.axis] + cut.offset, left, right);
+  if (left.runs.empty() || right.runs.empty()) {
     out.push_back(b);  // degenerate cut (all flags on one side)
     return;
   }
 
-  // Fork-join over the two disjoint spans when the left half is big
-  // enough to pay for a task.  Each side writes its own vector; appending
-  // left-then-right reproduces the serial depth-first output order
-  // exactly, so box lists are bit-identical at any thread count.
-  constexpr std::size_t kForkThreshold = 1024;
+  // Fork-join over the two disjoint run vectors when the left half is big
+  // enough to pay for a task.  A band row is one run of 5-6 cells, so 256
+  // runs are about 1,500 flagged cells.  Each side writes its own vector;
+  // appending left-then-right reproduces the serial depth-first output
+  // order exactly, so box lists are bit-identical at any thread count.
+  constexpr std::size_t kForkThreshold = 256;
   ThreadPool& pool = ThreadPool::global();
-  if (pool.worker_count() > 0 && mid - lo >= kForkThreshold) {
-    std::vector<Box> left;
-    std::future<void> fut = pool.async([&pts, lo, mid, level, &cfg, depth,
-                                        &left] {
-      cluster_recursive(pts, lo, mid, level, cfg, depth + 1, left);
+  if (pool.worker_count() > 0 && left.runs.size() >= kForkThreshold) {
+    std::vector<Box> left_boxes;
+    std::future<void> fut = pool.async([&left, level, &cfg, depth,
+                                        &left_boxes] {
+      cluster_recursive(std::move(left), level, cfg, depth + 1, left_boxes);
     });
-    std::vector<Box> right;
-    cluster_recursive(pts, mid, hi, level, cfg, depth + 1, right);
+    std::vector<Box> right_boxes;
+    cluster_recursive(std::move(right), level, cfg, depth + 1, right_boxes);
     pool.wait(fut);
-    out.insert(out.end(), std::make_move_iterator(left.begin()),
-               std::make_move_iterator(left.end()));
-    out.insert(out.end(), std::make_move_iterator(right.begin()),
-               std::make_move_iterator(right.end()));
+    out.insert(out.end(), std::make_move_iterator(left_boxes.begin()),
+               std::make_move_iterator(left_boxes.end()));
+    out.insert(out.end(), std::make_move_iterator(right_boxes.begin()),
+               std::make_move_iterator(right_boxes.end()));
     return;
   }
-  cluster_recursive(pts, lo, mid, level, cfg, depth + 1, out);
-  cluster_recursive(pts, mid, hi, level, cfg, depth + 1, out);
+  cluster_recursive(std::move(left), level, cfg, depth + 1, out);
+  cluster_recursive(std::move(right), level, cfg, depth + 1, out);
 }
 
 }  // namespace
 
-std::vector<Box> cluster_flags(const std::vector<IntVec>& flags,
-                               level_t level, const ClusterConfig& cfg) {
+std::vector<Box> cluster_runs(std::vector<FlagRun> runs, level_t level,
+                              const ClusterConfig& cfg) {
   SSAMR_REQUIRE(cfg.efficiency > 0 && cfg.efficiency <= 1,
                 "efficiency must be in (0,1]");
   SSAMR_REQUIRE(cfg.min_box_size >= 1, "min box size must be >= 1");
-  if (flags.empty()) return {};
-  // Deduplicate; duplicates would inflate the efficiency estimate.
+  if (runs.empty()) return {};
+  RunSet root{std::move(runs), {}};
+  for (const FlagRun& r : root.runs) {
+    SSAMR_REQUIRE(r.x0 <= r.x1, "flag run must have x0 <= x1");
+    root.bounds.cover(r);
+  }
+
+  std::vector<Box> out;
+  cluster_recursive(std::move(root), level, cfg, 0, out);
+  return out;
+}
+
+std::vector<Box> cluster_flags(const std::vector<IntVec>& flags,
+                               level_t level, const ClusterConfig& cfg) {
+  // Deduplicate; duplicates would inflate the efficiency estimate.  Sorting
+  // by (z, y, x) puts each row's cells next to each other, in x order, so
+  // one scan compresses them into disjoint runs.
   std::vector<IntVec> pts = flags;
   std::sort(pts.begin(), pts.end(), [](IntVec a, IntVec b) {
     if (a.z != b.z) return a.z < b.z;
@@ -189,9 +245,15 @@ std::vector<Box> cluster_flags(const std::vector<IntVec>& flags,
   });
   pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
 
-  std::vector<Box> out;
-  cluster_recursive(pts, 0, pts.size(), level, cfg, 0, out);
-  return out;
+  std::vector<FlagRun> runs;
+  for (const IntVec& p : pts) {
+    if (!runs.empty() && runs.back().y == p.y && runs.back().z == p.z &&
+        runs.back().x1 + 1 == p.x)
+      runs.back().x1 = p.x;
+    else
+      runs.push_back({p.x, p.x, p.y, p.z});
+  }
+  return cluster_runs(std::move(runs), level, cfg);
 }
 
 }  // namespace ssamr

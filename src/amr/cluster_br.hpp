@@ -6,6 +6,12 @@
 /// small set of rectilinear boxes with bounded fill efficiency.  This is the
 /// classic signature/hole/inflection algorithm of Berger & Rigoutsos (IEEE
 /// Trans. Systems, Man & Cybernetics, 1991).
+///
+/// Flags are clustered as x-runs (one contiguous span of flagged cells in
+/// one (y, z) row), not as cells: a band flagged around an interface is one
+/// run per row, so every signature, bounding box and split costs O(runs)
+/// instead of O(cells).  The boxes depend only on the set of flagged cells,
+/// never on how that set is cut into runs or ordered.
 
 #include <vector>
 
@@ -28,6 +34,17 @@ struct ClusterConfig {
   /// Hard cap on recursion depth (safety).
   int max_depth = 32;
 };
+
+/// The flagged cells (x0..x1, y, z), x0 <= x1, of one row.
+struct FlagRun {
+  coord_t x0 = 0, x1 = 0, y = 0, z = 0;
+};
+
+/// Cluster flagged runs (at some level l) into boxes at the same level.
+/// The runs must be pairwise disjoint (no cell in two runs); their order
+/// does not matter.  Same output contract as cluster_flags.
+std::vector<Box> cluster_runs(std::vector<FlagRun> runs, level_t level,
+                              const ClusterConfig& cfg);
 
 /// Cluster flagged cells (at some level l) into boxes at the same level.
 /// The returned boxes are disjoint, each contains every flag inside its

@@ -1,5 +1,7 @@
 #include "amr/particles.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -45,9 +47,8 @@ ParticleField ParticleField::gaussian_cloud(const Box& base_domain,
   const real_t sy = cfg.sigma_yz_frac * ey;
   const real_t sz = cfg.sigma_yz_frac * ez;
 
-  field.xs_.reserve(static_cast<std::size_t>(cfg.count));
-  field.ys_.reserve(static_cast<std::size_t>(cfg.count));
-  field.zs_.reserve(static_cast<std::size_t>(cfg.count));
+  std::vector<std::array<real_t, 3>> pts;
+  pts.reserve(static_cast<std::size_t>(cfg.count));
   Rng rng(cfg.seed);
   const real_t lox = static_cast<real_t>(base_domain.lo().x);
   const real_t loy = static_cast<real_t>(base_domain.lo().y);
@@ -58,9 +59,24 @@ ParticleField ParticleField::gaussian_cloud(const Box& base_domain,
     const real_t px = rng.normal(cx, cfg.sigma_x);
     const real_t py = rng.normal(ey / 2, sy);
     const real_t pz = rng.normal(ez / 2, sz);
-    field.xs_.push_back(lox + reflect_into(px, ex));
-    field.ys_.push_back(loy + reflect_into(py, ey));
-    field.zs_.push_back(loz + reflect_into(pz, ez));
+    pts.push_back({lox + reflect_into(px, ex), loy + reflect_into(py, ey),
+                   loz + reflect_into(pz, ez)});
+  }
+  // Order by x (then y, z: a total order, so the layout does not depend on
+  // the sort algorithm), so count_in can bound each box's x slab by
+  // binary search.
+  std::sort(pts.begin(), pts.end(), [](const auto& a, const auto& b) {
+    if (a[0] != b[0]) return a[0] < b[0];
+    if (a[1] != b[1]) return a[1] < b[1];
+    return a[2] < b[2];
+  });
+  field.xs_.reserve(pts.size());
+  field.ys_.reserve(pts.size());
+  field.zs_.reserve(pts.size());
+  for (const auto& p : pts) {
+    field.xs_.push_back(p[0]);
+    field.ys_.push_back(p[1]);
+    field.zs_.push_back(p[2]);
   }
   return field;
 }
@@ -80,11 +96,15 @@ std::int64_t ParticleField::count_in(const Box& b, coord_t ratio) const {
   const real_t hix = static_cast<real_t>(b.hi().x + 1);
   const real_t hiy = static_cast<real_t>(b.hi().y + 1);
   const real_t hiz = static_cast<real_t>(b.hi().z + 1);
+  // xs_ is sorted and scaling by a positive factor is monotone, so the
+  // particles with lox <= x * scale < hix form one contiguous slab.
+  const auto first = std::partition_point(
+      xs_.begin(), xs_.end(), [&](real_t x) { return x * scale < lox; });
+  const auto last = std::partition_point(
+      first, xs_.end(), [&](real_t x) { return x * scale < hix; });
   std::int64_t count = 0;
-  const std::size_t n = xs_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const real_t sx = xs_[i] * scale;
-    if (sx < lox || sx >= hix) continue;
+  const auto end = static_cast<std::size_t>(last - xs_.begin());
+  for (auto i = static_cast<std::size_t>(first - xs_.begin()); i < end; ++i) {
     const real_t sy = ys_[i] * scale;
     if (sy < loy || sy >= hiy) continue;
     const real_t sz = zs_[i] * scale;

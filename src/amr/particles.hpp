@@ -66,7 +66,8 @@ class ParticleField {
   bool empty() const { return xs_.empty(); }
 
  private:
-  // Structure-of-arrays: count_in is a hot, branchy scan.
+  // Structure-of-arrays sorted by x: count_in binary-searches the x slab
+  // and scans only it.
   std::vector<real_t> xs_, ys_, zs_;
 };
 

@@ -66,16 +66,37 @@ BoxList SyntheticAmrTrace::boxes_at_epoch(int epoch) const {
     const real_t amp = amp0 * static_cast<real_t>(scale);
     const real_t halfw = cfg_.band_halfwidth;
 
-    std::vector<IntVec> flags;
+    // The band's transverse shape, tabulated once per level; each entry is
+    // exactly the per-row expression, so every xs is bit-identical.
+    const coord_t jlo = cfg_.domain.lo().y * scale;
+    const coord_t klo = cfg_.domain.lo().z * scale;
+    std::vector<real_t> wave_y(static_cast<std::size_t>(ext0.y * scale));
+    std::vector<real_t> wave_z(static_cast<std::size_t>(ext0.z * scale));
+    for (std::size_t t = 0; t < wave_y.size(); ++t) {
+      const coord_t j = jlo + static_cast<coord_t>(t);
+      const real_t yfrac = (static_cast<real_t>(j) + 0.5) / ny;
+      wave_y[t] = std::sin(2.0 * kPi * cfg_.waves_y * yfrac);
+    }
+    for (std::size_t t = 0; t < wave_z.size(); ++t) {
+      const coord_t k = klo + static_cast<coord_t>(t);
+      const real_t zfrac = (static_cast<real_t>(k) + 0.5) / nz;
+      wave_z[t] = std::cos(2.0 * kPi * cfg_.waves_z * zfrac);
+    }
+
+    // One flagged x-run per (parent box, j, k) row.  Parent boxes are
+    // disjoint, so the runs are too.
+    std::vector<FlagRun> runs;
+    std::size_t rows = 0;
+    for (const Box& pb : parent_union)
+      rows += static_cast<std::size_t>(pb.extent().y * pb.extent().z);
+    runs.reserve(rows);
     for (const Box& pb : parent_union) {
       for (coord_t k = pb.lo().z; k <= pb.hi().z; ++k) {
+        const real_t wz = wave_z[static_cast<std::size_t>(k - klo)];
         for (coord_t j = pb.lo().y; j <= pb.hi().y; ++j) {
-          const real_t yfrac = (static_cast<real_t>(j) + 0.5) / ny;
-          const real_t zfrac = (static_cast<real_t>(k) + 0.5) / nz;
           const real_t xs =
               pos * nx +
-              amp * (std::sin(2.0 * kPi * cfg_.waves_y * yfrac) +
-                     0.5 * std::cos(2.0 * kPi * cfg_.waves_z * zfrac));
+              amp * (wave_y[static_cast<std::size_t>(j - jlo)] + 0.5 * wz);
           // Clamp to the parent box IN FLOATING POINT before converting:
           // with extreme amplitudes/band widths the band edges can exceed
           // the range of coord_t, and casting an out-of-range double to an
@@ -87,19 +108,17 @@ BoxList SyntheticAmrTrace::boxes_at_epoch(int epoch) const {
           const real_t box_lo = static_cast<real_t>(pb.lo().x);
           const real_t box_hi = static_cast<real_t>(pb.hi().x);
           if (band_lo > box_hi || band_hi < box_lo) continue;
-          const coord_t ilo =
-              static_cast<coord_t>(std::clamp(band_lo, box_lo, box_hi));
-          const coord_t ihi =
-              static_cast<coord_t>(std::clamp(band_hi, box_lo, box_hi));
-          for (coord_t i = ilo; i <= ihi; ++i) flags.emplace_back(i, j, k);
+          runs.push_back(
+              {static_cast<coord_t>(std::clamp(band_lo, box_lo, box_hi)),
+               static_cast<coord_t>(std::clamp(band_hi, box_lo, box_hi)), j,
+               k});
         }
       }
     }
-    if (flags.empty()) break;
+    if (runs.empty()) break;
 
-    ClusterConfig ccfg = cfg_.cluster;
     const auto coarse_boxes =
-        cluster_flags(flags, static_cast<level_t>(l), ccfg);
+        cluster_runs(std::move(runs), static_cast<level_t>(l), cfg_.cluster);
     // A cluster's bounding box can bridge the gap between two disjoint
     // parent boxes; clip against the parent union (and re-coalesce) so the
     // refined level stays properly nested.

@@ -2,8 +2,8 @@
 """Hot-path benchmark regression gate.
 
 Runs the google-benchmark binaries (bench_partitioners, bench_amr,
-bench_faults and bench_scale by default), writes the raw measurements to
-BENCH_pr.json, and compares them
+bench_clustering, bench_faults and bench_scale by default), writes the raw
+measurements to BENCH_pr.json, and compares them
 against the committed baseline (tools/bench_baseline.json).
 
 Raw nanoseconds are useless across machines, so each benchmark's time is
@@ -26,8 +26,8 @@ import os
 import subprocess
 import sys
 
-DEFAULT_BINARIES = ["bench_partitioners", "bench_amr", "bench_faults",
-                    "bench_scale"]
+DEFAULT_BINARIES = ["bench_partitioners", "bench_amr", "bench_clustering",
+                    "bench_faults", "bench_scale"]
 BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "bench_baseline.json")
 
