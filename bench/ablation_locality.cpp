@@ -3,8 +3,9 @@
 ///
 /// ACEHeterogeneous matches boxes to capacities by sorting by size — good
 /// balance, scattered ownership.  The composite default preserves locality
-/// but ignores capacities.  The hybrid (ACECompositeHeterogeneous) cuts
-/// the space-filling-curve order at capacity-proportional targets.  We
+/// but ignores capacities.  The hybrid (DistributedSfcPrefix, zoo id
+/// `sfc-heterogeneous`) cuts the space-filling-curve order at
+/// capacity-proportional targets.  We
 /// measure, on the paper workload with fixed 16/19/31/34 % capacities:
 /// effective imbalance, ghost-communication volume, splits — and the
 /// resulting execution time on the loaded virtual cluster.
@@ -14,7 +15,6 @@
 
 #include "core/experiment.hpp"
 #include "partition/greedy.hpp"
-#include "partition/sfc_heterogeneous.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -32,7 +32,7 @@ int main() {
   std::vector<std::unique_ptr<Partitioner>> schemes;
   schemes.push_back(std::make_unique<GraceDefaultPartitioner>());
   schemes.push_back(std::make_unique<HeterogeneousPartitioner>());
-  schemes.push_back(std::make_unique<SfcHeterogeneousPartitioner>());
+  schemes.push_back(std::make_unique<DistributedSfcPartitioner>());
   schemes.push_back(std::make_unique<GreedyPartitioner>());
 
   Table t({"scheme", "effective imbalance", "comm cells/step", "splits"});

@@ -54,7 +54,9 @@ void run_workload(const char* name, const std::vector<BoxList>& epochs,
     PartitionConstraints constraints;
     constraints.min_box_size = min_size;
     HeterogeneousPartitioner single(constraints);
-    MultiAxisPartitioner multi(constraints);
+    PartitionConstraints best_fit = constraints;
+    best_fit.longest_axis_only = false;
+    HeterogeneousPartitioner multi(best_fit);
 
     real_t single_sum = 0, multi_sum = 0;
     int single_splits = 0, multi_splits = 0;

@@ -57,7 +57,9 @@ void BM_MultiAxisPartition(benchmark::State& state) {
   const int nprocs = static_cast<int>(state.range(0));
   const auto caps = caps_for(nprocs);
   const WorkModel work;
-  MultiAxisPartitioner p;
+  PartitionConstraints best_fit;
+  best_fit.longest_axis_only = false;
+  HeterogeneousPartitioner p(best_fit);
   for (auto _ : state) {
     auto r = p.partition(paper_boxes(), caps, work);
     benchmark::DoNotOptimize(r.assignments.data());

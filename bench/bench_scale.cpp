@@ -121,7 +121,8 @@ void BM_IndexedFluidSim(benchmark::State& state) {
   std::size_t events = 0;
   for (auto _ : state) {
     std::vector<sim::Transfer> ts = base;
-    events = sim::simulate_transfers_indexed(ts, bw, net);
+    sim::SimWorkspace ws;
+    events = sim::simulate_transfers_indexed(ts, bw, net, ws);
     benchmark::DoNotOptimize(ts.data());
   }
   state.counters["events"] = static_cast<double>(events);

@@ -31,13 +31,12 @@
 #include "geom/box_list.hpp"        // IWYU pragma: export
 #include "hdda/hdda.hpp"            // IWYU pragma: export
 #include "monitor/monitor_service.hpp"  // IWYU pragma: export
+#include "partition/distributed_sfc.hpp"  // IWYU pragma: export
 #include "partition/grace_default.hpp"  // IWYU pragma: export
 #include "partition/greedy.hpp"         // IWYU pragma: export
 #include "partition/heterogeneous.hpp"  // IWYU pragma: export
 #include "partition/knapsack.hpp"       // IWYU pragma: export
 #include "partition/metrics.hpp"        // IWYU pragma: export
-#include "partition/multiaxis.hpp"      // IWYU pragma: export
-#include "partition/sfc_heterogeneous.hpp"  // IWYU pragma: export
 #include "partition/sfc_knapsack.hpp"   // IWYU pragma: export
 #include "partition/zoo.hpp"            // IWYU pragma: export
 #include "runtime/runtime.hpp"          // IWYU pragma: export

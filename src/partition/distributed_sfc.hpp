@@ -2,28 +2,34 @@
 /// \file distributed_sfc.hpp
 /// Distributed capacity-weighted SFC partitioning ("DistributedSfcPrefix").
 ///
-/// The global-view SfcHeterogeneousPartitioner sorts the entire composite
-/// box list on one rank and walks it greedily — O(N log N) memory and time
-/// on a single process, which caps the virtual cluster well below real
-/// machine sizes.  This scheme executes the Schornbaum & Rüde distributed
-/// load-balancing recipe instead, phrased over curve *shards* (the role a
-/// rank's local box set plays in a real deployment):
+/// The one implementation of "cut the composite space-filling curve at
+/// work targets" in the library.  GrACE's default scheme keeps the
+/// composite order of the hierarchy and cuts it at equal work; the
+/// locality-preserving heterogeneous variant (zoo id `sfc-heterogeneous`)
+/// cuts the same order at the capacity-proportional targets
+/// L_p = C_p/ΣC · L instead, trading a little extra splitting for much
+/// lower communication volume than ACEHeterogeneous's size-sorted walk.
+///
+/// The walk executes the Schornbaum & Rüde distributed load-balancing
+/// recipe, phrased over curve *shards* (the role a rank's local box set
+/// plays in a real deployment):
 ///
 ///   1. each shard keys and sorts only its own boxes (parallel, local);
 ///   2. an ordered carry-chain scan accumulates the total work shard by
 ///      shard in input order — a prefix-sum (exscan) over curve weights,
 ///      reproducing total_work's left fold bit-exactly;
-///   3. capacity-proportional quantile targets L_p = C_p/ΣC · L cut the
-///      curve; the cut walk streams boxes out of a K-way shard merge
-///      through the shared AssignmentWalk, carrying only an O(P) cursor —
-///      the pipelined prefix walk of the paper, never a global sorted list.
+///   3. the quantile targets cut the curve; the cut walk streams boxes out
+///      of a K-way shard merge through the shared AssignmentWalk, carrying
+///      only an O(P) cursor — the pipelined prefix walk of the paper, never
+///      a global sorted list.
 ///
-/// Because the shard merge reproduces the global stable sfc_order total
-/// order (key, level, input position) and the walk is the same resumable
-/// state machine assign_sequence uses, the output is **bit-identical** to
-/// SfcHeterogeneousPartitioner for every input, at every shard count
-/// (pinned by tests/distributed_partition_test.cpp).  The global box list
-/// appears only inside the SSAMR_AUDIT hook — a debug/audit construct.
+/// The shard merge reproduces the global stable sfc_order total order
+/// (key, level, input position), so the output is **bit-identical** at
+/// every shard count; one shard is the global view, and
+/// GraceDefaultPartitioner is this walk over unit capacities.
+/// tests/distributed_partition_test.cpp pins both against the historical
+/// global-view bodies.  The global box list appears only inside the
+/// SSAMR_AUDIT hook — a debug/audit construct.
 
 #include "partition/partitioner.hpp"
 #include "sfc/sfc_index.hpp"

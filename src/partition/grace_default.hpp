@@ -9,10 +9,11 @@
 /// The composite grid hierarchy is linearized along a space-filling curve
 /// (preserving inter- and intra-level locality) and the ordered sequence is
 /// cut into P contiguous chunks of equal work L/P, breaking boxes (longest
-/// axis, min-box-size) where a chunk boundary falls inside one.
+/// axis, min-box-size) where a chunk boundary falls inside one.  It is the
+/// library's one SFC cut walk (DistributedSfcPartitioner, one shard) run
+/// over P unit capacities: each target total·1/P is exactly total/P.
 
-#include "partition/partitioner.hpp"
-#include "sfc/sfc_index.hpp"
+#include "partition/distributed_sfc.hpp"
 
 namespace ssamr {
 
@@ -28,11 +29,12 @@ class GraceDefaultPartitioner final : public Partitioner {
 
   std::string name() const override { return "ACEComposite"; }
 
-  PartitionConstraints constraints() const override { return constraints_; }
+  PartitionConstraints constraints() const override {
+    return walk_.constraints();
+  }
 
  private:
-  SfcConfig sfc_;
-  PartitionConstraints constraints_;
+  DistributedSfcPartitioner walk_;
 };
 
 }  // namespace ssamr

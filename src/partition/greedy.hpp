@@ -7,7 +7,8 @@
 /// *relative* load W_k / C_k (LPT scheduling generalized to heterogeneous
 /// machines).  It never splits boxes — balance quality is limited by the
 /// box granularity, which makes it a useful contrast to ACEHeterogeneous
-/// in the locality/balance ablation.
+/// in the locality/balance ablation.  Defined in knapsack.cpp: its walk is
+/// the seed KnapsackPartitioner refines.
 
 #include "partition/partitioner.hpp"
 

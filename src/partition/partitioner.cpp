@@ -19,6 +19,37 @@ BoxList PartitionResult::boxes_of(rank_t rank) const {
   return out;
 }
 
+real_t validated_capacity_sum(const std::vector<real_t>& capacities) {
+  SSAMR_REQUIRE(!capacities.empty(), "need at least one processor");
+  for (real_t c : capacities)
+    SSAMR_REQUIRE(c >= 0, "capacities must be non-negative");
+  const real_t cap_sum =
+      std::accumulate(capacities.begin(), capacities.end(), real_t{0});
+  SSAMR_REQUIRE(cap_sum > 0, "capacities must not all be zero");
+  return cap_sum;
+}
+
+std::vector<real_t> proportional_targets(real_t total,
+                                         const std::vector<real_t>& capacities,
+                                         real_t cap_sum) {
+  std::vector<real_t> targets(capacities.size());
+  for (std::size_t k = 0; k < capacities.size(); ++k)
+    targets[k] = total * capacities[k] / cap_sum;
+  return targets;
+}
+
+real_t peak_relative_load(const std::vector<real_t>& loads,
+                          const std::vector<real_t>& capacities) {
+  real_t peak = 0;
+  for (std::size_t k = 0; k < loads.size(); ++k) {
+    if (capacities[k] > 0)
+      peak = std::max(peak, loads[k] / capacities[k]);
+    else if (loads[k] > 0)
+      peak = std::numeric_limits<real_t>::infinity();
+  }
+  return peak;
+}
+
 namespace {
 
 /// Work of one index-space plane of `b` perpendicular to `axis`, cells

@@ -85,6 +85,21 @@ class Partitioner {
   }
 };
 
+/// ΣC of `capacities` after checking that they can drive a partition:
+/// at least one rank, no negative capacity and a positive sum.  The shared
+/// preamble of every capacity-aware scheme; throws Error otherwise.
+real_t validated_capacity_sum(const std::vector<real_t>& capacities);
+
+/// Capacity-proportional work targets L_k = L · C_k / ΣC, in rank order.
+std::vector<real_t> proportional_targets(real_t total,
+                                         const std::vector<real_t>& capacities,
+                                         real_t cap_sum);
+
+/// Peak relative load max_k W_k / C_k.  A zero-capacity rank contributes
+/// nothing while it holds no work and makes the peak infinite otherwise.
+real_t peak_relative_load(const std::vector<real_t>& loads,
+                          const std::vector<real_t>& capacities);
+
 /// Split `b` so that the first piece's work is as close as possible to
 /// `target_work` without (if feasible) exceeding it, cutting along the
 /// longest axis (or, when `constraints.longest_axis_only` is false, along

@@ -5,8 +5,6 @@
 #include "partition/greedy.hpp"
 #include "partition/heterogeneous.hpp"
 #include "partition/knapsack.hpp"
-#include "partition/multiaxis.hpp"
-#include "partition/sfc_heterogeneous.hpp"
 #include "partition/sfc_knapsack.hpp"
 #include "util/error.hpp"
 
@@ -24,10 +22,18 @@ const std::vector<ZooEntry>& partitioner_zoo() {
        /*local_view=*/false, [] { return std::make_unique<HeterogeneousPartitioner>(); }},
       {"multiaxis", /*capacity_aware=*/true, /*splits_boxes=*/true,
        /*sfc_contiguous=*/false, /*permutation_equivariant=*/true,
-       /*local_view=*/false, [] { return std::make_unique<MultiAxisPartitioner>(); }},
+       /*local_view=*/false,
+       [] {
+         // ACEHeterogeneous with splits on the best-fit axis (paper §8).
+         PartitionConstraints c;
+         c.longest_axis_only = false;
+         return std::make_unique<HeterogeneousPartitioner>(c);
+       }},
       {"sfc-heterogeneous", /*capacity_aware=*/true, /*splits_boxes=*/true,
        /*sfc_contiguous=*/true, /*permutation_equivariant=*/false,
-       /*local_view=*/false, [] { return std::make_unique<SfcHeterogeneousPartitioner>(); }},
+       /*local_view=*/false,
+       // One shard is the global view of the curve.
+       [] { return std::make_unique<DistributedSfcPartitioner>(SfcConfig{}, 1); }},
       {"greedy", /*capacity_aware=*/true, /*splits_boxes=*/false,
        /*sfc_contiguous=*/false, /*permutation_equivariant=*/true,
        /*local_view=*/false, [] { return std::make_unique<GreedyPartitioner>(); }},

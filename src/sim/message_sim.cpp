@@ -140,13 +140,6 @@ std::size_t simulate_transfers(std::vector<Transfer>& transfers,
 
 std::size_t simulate_transfers_indexed(
     std::vector<Transfer>& transfers,
-    const std::vector<MbitsPerSec>& deliverable_mbps, const NetworkModel& net) {
-  SimWorkspace ws;
-  return simulate_transfers_indexed(transfers, deliverable_mbps, net, ws);
-}
-
-std::size_t simulate_transfers_indexed(
-    std::vector<Transfer>& transfers,
     const std::vector<MbitsPerSec>& deliverable_mbps, const NetworkModel& net,
     SimWorkspace& ws) {
   const auto n = deliverable_mbps.size();

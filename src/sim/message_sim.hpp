@@ -97,12 +97,9 @@ std::size_t simulate_transfers(std::vector<Transfer>& transfers,
 /// NOT bit-identical — residuals accumulate in a different grouping.  The
 /// event executor therefore switches to this path only above its
 /// rank-count threshold, keeping small-P goldens byte-stable.
-std::size_t simulate_transfers_indexed(
-    std::vector<Transfer>& transfers,
-    const std::vector<MbitsPerSec>& deliverable_mbps, const NetworkModel& net);
-
-/// As above, reusing `ws` for every internal buffer.  Results are
-/// identical to the workspace-free form; only allocation traffic differs.
+///
+/// Every internal buffer lives in `ws`; results do not depend on what an
+/// earlier call left there, only allocation traffic does.
 std::size_t simulate_transfers_indexed(
     std::vector<Transfer>& transfers,
     const std::vector<MbitsPerSec>& deliverable_mbps, const NetworkModel& net,

@@ -16,10 +16,9 @@
 #include "partition/knapsack.hpp"
 #include "partition/metrics.hpp"
 #include "partition/greedy.hpp"
-#include "partition/multiaxis.hpp"
 #include "partition/partition_audit.hpp"
-#include "partition/sfc_heterogeneous.hpp"
 #include "partition/sfc_knapsack.hpp"
+#include "partition/zoo.hpp"
 #include "sfc/sfc_index.hpp"
 
 namespace ssamr {
@@ -282,9 +281,8 @@ std::vector<PartitionerCase> make_cases() {
                      "default"});
     cases.push_back({std::make_shared<HeterogeneousPartitioner>(), caps,
                      "heterogeneous"});
-    cases.push_back({std::make_shared<MultiAxisPartitioner>(), caps,
-                     "multiaxis"});
-    cases.push_back({std::make_shared<SfcHeterogeneousPartitioner>(), caps,
+    cases.push_back({make_partitioner("multiaxis"), caps, "multiaxis"});
+    cases.push_back({make_partitioner("sfc-heterogeneous"), caps,
                      "sfc_heterogeneous"});
     cases.push_back({std::make_shared<GreedyPartitioner>(), caps,
                      "greedy"});
@@ -415,9 +413,9 @@ TEST(Greedy, ZeroCapacityRankGetsNothing) {
 TEST(SfcHeterogeneous, BalancesLikeHeterogeneousWithBetterLocality) {
   const BoxList boxes = uniform_grid_boxes(8, 8);
   const std::vector<real_t> caps{0.16, 0.19, 0.31, 0.34};
-  SfcHeterogeneousPartitioner hybrid;
+  const auto hybrid = make_partitioner("sfc-heterogeneous");
   HeterogeneousPartitioner het;
-  const auto rh = hybrid.partition(boxes, caps, kWork);
+  const auto rh = hybrid->partition(boxes, caps, kWork);
   const auto rs = het.partition(boxes, caps, kWork);
   // Comparable balance...
   EXPECT_LT(effective_imbalance_pct(rh),
@@ -549,7 +547,8 @@ TEST(MultiAxis, ReducesImbalanceVersusLongestAxisOnly) {
   PartitionConstraints c;
   c.min_box_size = 2;
   HeterogeneousPartitioner single(c);
-  MultiAxisPartitioner multi(c);
+  c.longest_axis_only = false;
+  HeterogeneousPartitioner multi(c);
   const real_t i_single =
       effective_imbalance_pct(single.partition(boxes, caps, kWork));
   const real_t i_multi =

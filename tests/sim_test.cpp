@@ -436,8 +436,9 @@ TEST(MessageSimIndexed, AgreesWithExactSimulatorToRounding) {
   std::vector<Transfer> exact = churn_mix(6);
   std::vector<Transfer> indexed = exact;
   const std::size_t exact_events = simulate_transfers(exact, bw, net);
-  const std::size_t indexed_events = simulate_transfers_indexed(indexed, bw,
-                                                                net);
+  SimWorkspace ws;
+  const std::size_t indexed_events =
+      simulate_transfers_indexed(indexed, bw, net, ws);
   EXPECT_EQ(exact_events, indexed_events);
   for (std::size_t i = 0; i < exact.size(); ++i)
     EXPECT_NEAR(indexed[i].finish_time.value(), exact[i].finish_time.value(),
@@ -450,8 +451,9 @@ TEST(MessageSimIndexed, IsDeterministic) {
   const std::vector<MbitsPerSec> bw(6, MbitsPerSec{100.0});
   std::vector<Transfer> a = churn_mix(6);
   std::vector<Transfer> b = a;
-  EXPECT_EQ(simulate_transfers_indexed(a, bw, net),
-            simulate_transfers_indexed(b, bw, net));
+  SimWorkspace ws_a, ws_b;
+  EXPECT_EQ(simulate_transfers_indexed(a, bw, net, ws_a),
+            simulate_transfers_indexed(b, bw, net, ws_b));
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_EQ(a[i].finish_time, b[i].finish_time) << "transfer " << i;
 }
@@ -469,7 +471,8 @@ TEST(MessageSimIndexed, CountsTwoEventsPerNetworkTransfer) {
       Transfer{2, 1, Bytes{0}, Seconds{0}, Seconds{0}}};       // empty
   std::vector<Transfer> ts2 = ts;
   EXPECT_EQ(simulate_transfers(ts, bw, net), 4u);
-  EXPECT_EQ(simulate_transfers_indexed(ts2, bw, net), 4u);
+  SimWorkspace ws;
+  EXPECT_EQ(simulate_transfers_indexed(ts2, bw, net, ws), 4u);
 }
 
 TEST(MessageSimIndexed, FanOutContentionMatchesClosedForm) {
@@ -483,7 +486,8 @@ TEST(MessageSimIndexed, FanOutContentionMatchesClosedForm) {
   const Bytes bytes{1250000};  // 0.1 s solo at 100 Mbit/s
   std::vector<Transfer> ts = {Transfer{0, 1, bytes, Seconds{0}, Seconds{0}},
                               Transfer{0, 2, bytes, Seconds{0}, Seconds{0}}};
-  simulate_transfers_indexed(ts, bw, net);
+  SimWorkspace ws;
+  simulate_transfers_indexed(ts, bw, net, ws);
   EXPECT_NEAR(ts[0].finish_time.value(), 0.2, 1e-9);
   EXPECT_NEAR(ts[1].finish_time.value(), 0.2, 1e-9);
 }
