@@ -1,11 +1,16 @@
 /// \file bench_partitioners.cpp
 /// Microbenchmarks of the partitioners themselves: time to distribute the
-/// paper-scale composite box list over P processors.
+/// paper-scale composite box list over P processors.  Also the per-
+/// iteration path the partitions feed: one execution-model advance.
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "core/experiment.hpp"
 #include "core/ssamr.hpp"
+#include "sim/bsp_model.hpp"
+#include "sim/event_executor.hpp"
 
 namespace {
 
@@ -134,5 +139,52 @@ void BM_CommVolumeMetric(benchmark::State& state) {
     benchmark::DoNotOptimize(partition_comm_cells(r, 1));
 }
 BENCHMARK(BM_CommVolumeMetric);
+
+// One coarse-iteration advance of an execution model on the paper trace
+// (epoch 20, P = 16).  Arg 0 keeps one partition, so every advance reuses
+// the executor's ghost flows; Arg 1 alternates two partitions of the same
+// boxes, so every advance rederives them (the miss path).  Each advance
+// appends spans to the rank timelines, so a fresh model, primed with one
+// advance, replaces the old one every kAdvancesPerModel iterations, off
+// the clock.
+template <class Model>
+void advance_bench(benchmark::State& state) {
+  constexpr int kAdvancesPerModel = 256;
+  const int nprocs = 16;
+  const BoxList boxes =
+      SyntheticAmrTrace(exp::paper_trace_config()).boxes_at_epoch(20);
+  const auto caps = caps_for(nprocs);
+  const WorkModel work;
+  const std::vector<PartitionResult> parts{
+      HeterogeneousPartitioner().partition(boxes, caps, work),
+      GraceDefaultPartitioner().partition(boxes, caps, work)};
+  const std::size_t nparts = state.range(0) == 0 ? 1 : 2;
+  const Cluster cluster = Cluster::homogeneous(nprocs);
+  const ExecutorConfig cfg;
+  std::optional<Model> model;
+  Seconds t{0};
+  std::size_t it = 0;
+  for (auto _ : state) {
+    if (it % kAdvancesPerModel == 0) {
+      state.PauseTiming();
+      model.emplace(cluster, cfg);
+      t = model->advance(parts[nparts - 1], Seconds{0}, -1).elapsed;
+      state.ResumeTiming();
+    }
+    t += model->advance(parts[it % nparts], t, static_cast<int>(it)).elapsed;
+    ++it;
+  }
+  state.counters["boxes"] = static_cast<double>(parts[0].assignments.size());
+}
+
+void BM_BspAdvance(benchmark::State& state) {
+  advance_bench<sim::BspModel>(state);
+}
+BENCHMARK(BM_BspAdvance)->Arg(0)->Arg(1);
+
+void BM_EventAdvance(benchmark::State& state) {
+  advance_bench<sim::EventExecutor>(state);
+}
+BENCHMARK(BM_EventAdvance)->Arg(0)->Arg(1);
 
 }  // namespace

@@ -52,20 +52,24 @@ PartitionResult DistributedSfcPartitioner::partition(
   });
 
   // Phase 2 — exscan of the total work: an ordered carry chain over the
-  // shards, each adding its boxes in input order to the running sum.  This
-  // is the serial left fold of total_work split at shard boundaries, so the
-  // floating-point result is the same at every shard count.
-  Work total{0};
+  // shards, each pricing its boxes and adding them in input order to the
+  // running sum.  This is the serial left fold of total_work split at shard
+  // boundaries, so the floating-point result is the same at every shard
+  // count.  The prices are kept for the cut walk.
+  std::vector<real_t> prices(n);
+  real_t total = 0;
   for (std::size_t s = 0; s < nshards; ++s) {
     const std::size_t hi = shard_begin(s + 1);
-    for (std::size_t i = shard_begin(s); i < hi; ++i)
-      total += box_cost(boxes[i], work);
+    for (std::size_t i = shard_begin(s); i < hi; ++i) {
+      prices[i] = box_work(boxes[i], work);
+      total += prices[i];
+    }
   }
 
   // Capacity-proportional quantile targets L_p = C_p / ΣC · L, cut in rank
   // order.
   const std::vector<real_t> targets =
-      proportional_targets(total.value(), capacities, cap_sum);
+      proportional_targets(total, capacities, cap_sum);
   std::vector<rank_t> proc_order(nproc);
   std::iota(proc_order.begin(), proc_order.end(), rank_t{0});
 
@@ -88,7 +92,8 @@ PartitionResult DistributedSfcPartitioner::partition(
     std::pop_heap(heap.begin(), heap.end(), head_after);
     const std::size_t s = heap.back();
     heap.pop_back();
-    walk.feed(boxes[runs[s][cursor[s]]]);
+    const std::size_t i = runs[s][cursor[s]];
+    walk.feed(boxes[i], prices[i]);
     if (++cursor[s] < runs[s].size()) {
       heap.push_back(s);
       std::push_heap(heap.begin(), heap.end(), head_after);

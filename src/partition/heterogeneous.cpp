@@ -26,8 +26,13 @@ PartitionResult HeterogeneousPartitioner::partition(
                      return works[a] < works[b];
                    });
   std::vector<Box> ordered;
+  std::vector<real_t> ordered_works;
   ordered.reserve(boxes.size());
-  for (std::size_t i : perm) ordered.push_back(boxes[i]);
+  ordered_works.reserve(boxes.size());
+  for (std::size_t i : perm) {
+    ordered.push_back(boxes[i]);
+    ordered_works.push_back(works[i]);
+  }
 
   // Sort processors ascending by capacity; targets L_k = C_k · L
   // (capacities renormalized defensively).
@@ -46,7 +51,8 @@ PartitionResult HeterogeneousPartitioner::partition(
                  capacities[static_cast<std::size_t>(proc_order[p])] /
                  cap_sum;
 
-  return assign_sequence(ordered, targets, proc_order, work, constraints_);
+  return assign_sequence(ordered, ordered_works, targets, proc_order, work,
+                         constraints_);
 }
 
 }  // namespace ssamr

@@ -180,14 +180,16 @@ AssignmentWalk::AssignmentWalk(const std::vector<real_t>& targets,
         targets_[p];
 }
 
-void AssignmentWalk::feed(const Box& box) {
+void AssignmentWalk::feed(const Box& box, real_t price) {
   // This is the historical deque walk of assign_sequence with the queue
   // replaced by one in-flight box: the original only ever re-examined the
   // *front* remainder before consuming the next input box, so a single
   // `cur` carries the identical state — and the identical FP operation
-  // sequence, which the bit-identity tests rely on.
+  // sequence, which the bit-identity tests rely on.  `w` is cur's price:
+  // the caller's for the whole box, repriced only after a split.
   const std::size_t nproc = targets_.size();
   Box cur = box;
+  real_t w = price;
   for (;;) {
     const rank_t rank = proc_order_[p_];
     auto& assigned = result_.assigned_work[static_cast<std::size_t>(rank)];
@@ -198,7 +200,6 @@ void AssignmentWalk::feed(const Box& box) {
       continue;
     }
 
-    const real_t w = box_work(cur, work_);
     const real_t remaining = targets_[p_] - assigned;
 
     if (last || w <= remaining) {
@@ -213,6 +214,7 @@ void AssignmentWalk::feed(const Box& box) {
       result_.assignments.push_back({pieces->first, rank});
       assigned += box_work(pieces->first, work_);
       cur = pieces->second;
+      w = box_work(cur, work_);
       ++p_;
       continue;
     }
@@ -233,12 +235,16 @@ void AssignmentWalk::feed(const Box& box) {
 PartitionResult AssignmentWalk::take() { return std::move(result_); }
 
 PartitionResult assign_sequence(const std::vector<Box>& ordered_boxes,
+                                const std::vector<real_t>& prices,
                                 const std::vector<real_t>& targets,
                                 const std::vector<rank_t>& proc_order,
                                 const WorkModel& work,
                                 const PartitionConstraints& constraints) {
+  SSAMR_REQUIRE(prices.size() == ordered_boxes.size(),
+                "prices/ordered_boxes size mismatch");
   AssignmentWalk walk(targets, proc_order, work, constraints);
-  for (const Box& b : ordered_boxes) walk.feed(b);
+  for (std::size_t i = 0; i < ordered_boxes.size(); ++i)
+    walk.feed(ordered_boxes[i], prices[i]);
   PartitionResult result = walk.take();
 
   // Self-audit the walk in Debug/audit builds: coverage, disjointness and

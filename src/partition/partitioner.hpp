@@ -135,8 +135,11 @@ class AssignmentWalk {
                  const std::vector<rank_t>& proc_order, const WorkModel& work,
                  const PartitionConstraints& constraints);
 
-  /// Consume the next box along the curve order.
-  void feed(const Box& box);
+  /// Consume the next box along the curve order.  `price` must be the
+  /// box's box_work under the walk's model: callers have already priced
+  /// every box for the total, so the walk reprices only the remainders its
+  /// splits leave.
+  void feed(const Box& box, real_t price);
 
   /// Finish the walk and surrender the accumulated result.  The walk must
   /// not be fed afterwards.
@@ -153,9 +156,11 @@ class AssignmentWalk {
 
 /// The greedy assignment walk over a fully materialized box order (the
 /// global-view partitioners' entry point): feeds `ordered_boxes` through an
-/// AssignmentWalk front to back.  `targets` and `proc_order` must have
-/// equal, non-zero size.
+/// AssignmentWalk front to back, `prices[i]` being the box_work of
+/// `ordered_boxes[i]`.  `targets` and `proc_order` must have equal,
+/// non-zero size.
 PartitionResult assign_sequence(const std::vector<Box>& ordered_boxes,
+                                const std::vector<real_t>& prices,
                                 const std::vector<real_t>& targets,
                                 const std::vector<rank_t>& proc_order,
                                 const WorkModel& work,

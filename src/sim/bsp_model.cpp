@@ -50,7 +50,9 @@ Seconds BspModel::migrate(const PartitionResult& previous,
 StepCost BspModel::advance(const PartitionResult& r, Seconds t,
                            int iteration) {
   const auto comp = exec_.compute_times(r, t);
-  const auto comm = exec_.effective_comm_times(r, t);
+  // The ghost flows come from the executor's per-partition cache: between
+  // regrids every iteration prices the same flow list.
+  const auto comm = exec_.effective_comm_times(exec_.ghost_flows(r), t);
   Seconds worst_total{0};
   std::size_t worst_k = 0;
   for (std::size_t k = 0; k < comp.size(); ++k) {

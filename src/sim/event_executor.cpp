@@ -127,16 +127,9 @@ StepCost EventExecutor::advance(const PartitionResult& r, Seconds t,
   // receiving rank still needs all its incoming messages before its next
   // span.  Transfers contend for endpoint bandwidth.
   const real_t overlap = exec_.config().comm_overlap.value();
-  // The flow set is a pure function of the partition; between regrids the
-  // partition is stable, so neighbor discovery runs once per partition
-  // instead of once per iteration.
-  if (!ghost_flows_valid_ || !(ghost_flows_key_ == r)) {
-    ghost_flows_ = pairwise_comm_bytes(r, exec_.config().ghost,
-                                       exec_.config().ncomp);
-    ghost_flows_key_ = r;
-    ghost_flows_valid_ = true;
-  }
-  const std::vector<RankFlow>& flows = ghost_flows_;
+  // The flow set is a pure function of the partition; the executor derives
+  // it once per partition, not once per iteration.
+  const std::vector<RankFlow>& flows = exec_.ghost_flows(r);
   std::vector<Transfer>& transfers = transfer_buf_;
   transfers.clear();
   transfers.reserve(flows.size());

@@ -72,12 +72,6 @@ class EventExecutor final : public ExecutionModel {
   VirtualExecutor exec_;
   std::vector<RankTimeline> lanes_;  ///< ranks 0..n-1, monitor lane at n
   std::size_t events_ = 0;
-  // Ghost-flow cache: the flow set depends only on the partition, which is
-  // stable between regrids, so advance() recomputes it only when the
-  // assignment actually changes (bit-exact comparison).
-  PartitionResult ghost_flows_key_;
-  std::vector<RankFlow> ghost_flows_;
-  bool ghost_flows_valid_ = false;
   // Simulation scratch, reused across advance()/migrate() calls: at
   // P = 16384 one network step churns ~40 MB of simulator state, and
   // re-allocating it every iteration costs as much as a tenth of the

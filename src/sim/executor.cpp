@@ -62,13 +62,19 @@ std::vector<Seconds> VirtualExecutor::compute_times(const PartitionResult& r,
 
 std::vector<Seconds> VirtualExecutor::comm_times(const PartitionResult& r,
                                                  Seconds t) const {
+  return comm_times(pairwise_comm_bytes(r, cfg_.ghost, cfg_.ncomp), t);
+}
+
+std::vector<Seconds> VirtualExecutor::comm_times(
+    const std::vector<RankFlow>& flows, Seconds t) const {
   const auto n = static_cast<std::size_t>(cluster_.size());
-  // One flow extraction (local-view neighbor discovery, O(N log N)) and an
-  // integer incident-sum per rank reproduce every rank_comm_bytes value —
-  // flow bytes are cells × cell_bytes, so the incident sums factor exactly.
-  // The historical per-rank rescans were O(N²·P).
+  // One flow list (local-view neighbor discovery, O(N log N), done once by
+  // the caller) and an integer incident-sum per rank reproduce every
+  // rank_comm_bytes value — flow bytes are cells × cell_bytes, so the
+  // incident sums factor exactly.  The historical per-rank rescans were
+  // O(N²·P).
   std::vector<std::int64_t> incident(n, 0);
-  for (const RankFlow& f : pairwise_comm_bytes(r, cfg_.ghost, cfg_.ncomp)) {
+  for (const RankFlow& f : flows) {
     if (f.src >= 0 && static_cast<std::size_t>(f.src) < n)
       incident[static_cast<std::size_t>(f.src)] += f.bytes;
     if (f.dst >= 0 && static_cast<std::size_t>(f.dst) < n)
@@ -89,10 +95,25 @@ std::vector<Seconds> VirtualExecutor::comm_times(const PartitionResult& r,
 
 std::vector<Seconds> VirtualExecutor::effective_comm_times(
     const PartitionResult& r, Seconds t) const {
-  auto comm = comm_times(r, t);
+  return effective_comm_times(pairwise_comm_bytes(r, cfg_.ghost, cfg_.ncomp),
+                              t);
+}
+
+std::vector<Seconds> VirtualExecutor::effective_comm_times(
+    const std::vector<RankFlow>& flows, Seconds t) const {
+  auto comm = comm_times(flows, t);
   const real_t visible = 1.0 - cfg_.comm_overlap.value();
   for (Seconds& c : comm) c *= visible;
   return comm;
+}
+
+const std::vector<RankFlow>& VirtualExecutor::ghost_flows(
+    const PartitionResult& r) {
+  if (!(ghost_flows_key_ == r)) {
+    ghost_flows_ = pairwise_comm_bytes(r, cfg_.ghost, cfg_.ncomp);
+    ghost_flows_key_ = r;
+  }
+  return ghost_flows_;
 }
 
 Seconds VirtualExecutor::iteration_time(const PartitionResult& r,

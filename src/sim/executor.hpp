@@ -96,10 +96,34 @@ class VirtualExecutor {
   /// Per-rank raw (un-overlapped) communication time of one iteration.
   std::vector<Seconds> comm_times(const PartitionResult& r, Seconds t) const;
 
+  /// comm_times for an iteration whose ghost traffic is `flows` (the
+  /// pairwise_comm_bytes list of its partition, e.g. from ghost_flows()).
+  std::vector<Seconds> comm_times(const std::vector<RankFlow>& flows,
+                                  Seconds t) const;
+
   /// Per-rank communication time after overlap with computation:
   /// (1 − comm_overlap) · raw.
   std::vector<Seconds> effective_comm_times(const PartitionResult& r,
                                             Seconds t) const;
+
+  /// effective_comm_times for an iteration whose ghost traffic is `flows`.
+  std::vector<Seconds> effective_comm_times(
+      const std::vector<RankFlow>& flows, Seconds t) const;
+
+  /// Ghost flows of `r` at the configured ghost width and component count
+  /// (pairwise_comm_bytes), derived once per partition: the list is
+  /// rederived only when `r` differs, under PartitionResult's bit-exact
+  /// operator==, from the partition it was last derived for.  The layout
+  /// is stable between regrids, so an execution model pays for neighbour
+  /// discovery once per regrid instead of once per iteration.  Not
+  /// thread-safe; call it outside parallel regions.
+  const std::vector<RankFlow>& ghost_flows(const PartitionResult& r);
+
+  /// The list the last ghost_flows() call returned; empty before the first
+  /// call (test access).
+  const std::vector<RankFlow>& cached_ghost_flows() const {
+    return ghost_flows_;
+  }
 
   /// Cost of a regrid event for a composite list of `boxes` boxes.
   Seconds regrid_time(std::size_t boxes) const;
@@ -136,6 +160,10 @@ class VirtualExecutor {
 
   const Cluster& cluster_;
   ExecutorConfig cfg_;
+  // ghost_flows() cache.  The default key, the empty partition, has no
+  // flows, so the empty default list is already correct for it.
+  PartitionResult ghost_flows_key_;
+  std::vector<RankFlow> ghost_flows_;
 };
 
 }  // namespace ssamr

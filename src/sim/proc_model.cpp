@@ -239,17 +239,6 @@ std::vector<PhaseReport> ProcModel::run_phase(
   return reports;
 }
 
-const std::vector<RankFlow>& ProcModel::ghost_flows(
-    const PartitionResult& r) {
-  if (!ghost_flows_valid_ || !(ghost_flows_key_ == r)) {
-    ghost_flows_ =
-        pairwise_comm_bytes(r, exec_.config().ghost, exec_.config().ncomp);
-    ghost_flows_key_ = r;
-    ghost_flows_valid_ = true;
-  }
-  return ghost_flows_;
-}
-
 Seconds ProcModel::sense(Seconds t, Seconds sweep_s, int iteration) {
   // Sensing is the monitor's virtual sweep — no rank process involvement —
   // and is charged serially exactly like the BSP model, so sense cost
@@ -331,7 +320,7 @@ StepCost ProcModel::advance(const PartitionResult& r, Seconds t,
     const double scaled = static_cast<double>(bytes) * opt_.bytes_scale;
     return static_cast<std::uint64_t>(std::clamp(scaled, 0.0, 1.0e15));
   };
-  for (const RankFlow& f : ghost_flows(r)) {
+  for (const RankFlow& f : exec_.ghost_flows(r)) {
     const std::uint64_t wire = scale(f.bytes);
     if (wire == 0) continue;
     plans[static_cast<std::size_t>(f.src)].sends.push_back(

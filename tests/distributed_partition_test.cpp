@@ -51,6 +51,60 @@ const WorkModel kIntWork{2, Work{1.0}};
 
 // ---- historical bodies, kept as oracles ------------------------------------
 
+/// assign_sequence before the walk took its callers' prices: every loop
+/// turn prices the in-flight box itself, so a split remainder is always
+/// repriced and a whole box is priced again after each skip to the next
+/// rank.
+PartitionResult self_pricing_walk_oracle(const std::vector<Box>& ordered,
+                                         const std::vector<real_t>& targets,
+                                         const std::vector<rank_t>& proc_order,
+                                         const WorkModel& work) {
+  const PartitionConstraints constraints;
+  const std::size_t nproc = targets.size();
+  PartitionResult result;
+  result.assigned_work.assign(nproc, 0);
+  result.target_work.assign(nproc, 0);
+  for (std::size_t p = 0; p < nproc; ++p)
+    result.target_work[static_cast<std::size_t>(proc_order[p])] = targets[p];
+  std::size_t p = 0;
+  for (const Box& box : ordered) {
+    Box cur = box;
+    for (;;) {
+      const rank_t rank = proc_order[p];
+      real_t& assigned = result.assigned_work[static_cast<std::size_t>(rank)];
+      const bool last = (p + 1 == nproc);
+      if (!last && assigned >= targets[p]) {
+        ++p;
+        continue;
+      }
+      const real_t w = box_work(cur, work);
+      const real_t remaining = targets[p] - assigned;
+      if (last || w <= remaining) {
+        result.assignments.push_back({cur, rank});
+        assigned += w;
+        break;
+      }
+      const auto pieces = split_for_work(cur, remaining, work, constraints);
+      if (pieces) {
+        ++result.splits;
+        result.assignments.push_back({pieces->first, rank});
+        assigned += box_work(pieces->first, work);
+        cur = pieces->second;
+        ++p;
+        continue;
+      }
+      if (remaining >= 0.5 * w) {
+        result.assignments.push_back({cur, rank});
+        assigned += w;
+        ++p;
+        break;
+      }
+      ++p;
+    }
+  }
+  return result;
+}
+
 /// SfcHeterogeneousPartitioner::partition before the SFC cut walk became
 /// DistributedSfcPartitioner alone: the composite order materialized by
 /// sfc_order, capacity-proportional targets in rank order, assign_sequence.
@@ -77,8 +131,7 @@ PartitionResult sfc_heterogeneous_oracle(const BoxList& boxes,
   for (std::size_t p = 0; p < nproc; ++p)
     targets[p] = total * capacities[p] / cap_sum;
 
-  return assign_sequence(ordered, targets, proc_order, work,
-                         PartitionConstraints{});
+  return self_pricing_walk_oracle(ordered, targets, proc_order, work);
 }
 
 /// GraceDefaultPartitioner::partition before it ran on the SFC cut walk:
@@ -99,8 +152,7 @@ PartitionResult grace_default_oracle(const BoxList& boxes,
   std::vector<rank_t> proc_order(nproc);
   std::iota(proc_order.begin(), proc_order.end(), rank_t{0});
 
-  return assign_sequence(ordered, targets, proc_order, work,
-                         PartitionConstraints{});
+  return self_pricing_walk_oracle(ordered, targets, proc_order, work);
 }
 
 /// GreedyPartitioner::partition before its walk became the LPT seed it

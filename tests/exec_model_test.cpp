@@ -6,7 +6,9 @@
 // the discrete-event model's structural envelope — finite non-negative
 // times, per-rank timeline contiguity, the critical-path lower bound —
 // plus the paper's headline result (the heterogeneous partitioner beats
-// the homogeneous baseline) and the Chrome-trace export.
+// the homogeneous baseline) and the Chrome-trace export.  Both models
+// price ghost exchange from the executor's per-partition flow cache, which
+// must follow every partition change.
 
 #include <cmath>
 #include <sstream>
@@ -14,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "core/ssamr.hpp"
+#include "sim/bsp_model.hpp"
+#include "sim/event_executor.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -40,14 +44,20 @@ RuntimeConfig small_runtime(int iters, int sensing, ExecModelKind model) {
   return cfg;
 }
 
-/// The determinism-suite scenario: 4 ranks, one ramping background load,
-/// sensing every 5 iterations.
-RunTrace run_scenario(ExecModelKind model) {
+/// 4 ranks, one ramping background load.
+Cluster ramped_cluster() {
   Cluster cluster = Cluster::homogeneous(4);
   LoadRamp ramp;
   ramp.rate = 0.01;
   ramp.target_level = 2.0;
   cluster.add_load(1, ramp);
+  return cluster;
+}
+
+/// The determinism-suite scenario: the ramped cluster, sensing every 5
+/// iterations.
+RunTrace run_scenario(ExecModelKind model) {
+  Cluster cluster = ramped_cluster();
   TraceWorkloadSource source(small_trace());
   HeterogeneousPartitioner part;
   AdaptiveRuntime rt(cluster, source, part, small_runtime(20, 5, model));
@@ -172,6 +182,84 @@ TEST(ExecModel, EventHeterogeneousBeatsDefaultUnderLoad) {
   const RunTrace t_het = run_with(het);
   const RunTrace t_def = run_with(def);
   EXPECT_LT(t_het.total_time, t_def.total_time);
+}
+
+/// The partition sequence A, A, B, B, A, C on 4 ranks that a model's ghost-
+/// flow cache must follow: B has A's boxes with one owner changed, picked
+/// so that both the flows and the per-rank comm times differ from A's, and
+/// C has another epoch's boxes.
+std::vector<PartitionResult> flow_cache_sequence(const VirtualExecutor& exec) {
+  const ExecutorConfig& cfg = exec.config();
+  SyntheticAmrTrace trace(small_trace());
+  HeterogeneousPartitioner part;
+  const std::vector<real_t> caps(4, 0.25);
+  const PartitionResult a =
+      part.partition(trace.boxes_at_epoch(10), caps, WorkModel{});
+  const PartitionResult c =
+      part.partition(trace.boxes_at_epoch(30), caps, WorkModel{});
+  const auto boxes = [](const PartitionResult& r) {
+    std::vector<Box> out;
+    for (const BoxAssignment& x : r.assignments) out.push_back(x.box);
+    return out;
+  };
+  EXPECT_NE(boxes(a), boxes(c));
+  const auto flows = [&](const PartitionResult& r) {
+    return pairwise_comm_bytes(r, cfg.ghost, cfg.ncomp);
+  };
+  PartitionResult b = a;
+  bool found = false;
+  for (std::size_t i = 0; i < b.assignments.size() && !found; ++i) {
+    b = a;
+    b.assignments[i].owner = (b.assignments[i].owner + 1) % 4;
+    found = flows(b) != flows(a) &&
+            exec.effective_comm_times(b, Seconds{0}) !=
+                exec.effective_comm_times(a, Seconds{0});
+  }
+  EXPECT_TRUE(found) << "no single owner change moves the ghost flows";
+  return {a, a, b, b, a, c};
+}
+
+TEST(ExecModel, BspFlowCacheFollowsPartitionChanges) {
+  const Cluster cluster = ramped_cluster();
+  const ExecutorConfig cfg;
+  sim::BspModel model(cluster, cfg);
+  const VirtualExecutor& exec = model.costs();
+  Seconds t{0};
+  int iteration = 0;
+  for (const PartitionResult& r : flow_cache_sequence(exec)) {
+    SCOPED_TRACE(iteration);
+    // The closed form of BspModel::advance on the uncached comm times.
+    const std::vector<Seconds> comp = exec.compute_times(r, t);
+    const std::vector<Seconds> comm = exec.effective_comm_times(r, t);
+    Seconds worst{0};
+    std::size_t worst_k = 0;
+    for (std::size_t k = 0; k < comp.size(); ++k) {
+      if (comp[k] + comm[k] > worst) {
+        worst = comp[k] + comm[k];
+        worst_k = k;
+      }
+    }
+    const StepCost expected{worst, comp[worst_k], worst - comp[worst_k]};
+    const StepCost got = model.advance(r, t, iteration++);
+    EXPECT_EQ(got, expected);
+    EXPECT_EQ(exec.cached_ghost_flows(),
+              pairwise_comm_bytes(r, cfg.ghost, cfg.ncomp));
+    t += got.elapsed;
+  }
+}
+
+TEST(ExecModel, EventFlowCacheFollowsPartitionChanges) {
+  const Cluster cluster = ramped_cluster();
+  const ExecutorConfig cfg;
+  sim::EventExecutor model(cluster, cfg);
+  Seconds t{0};
+  int iteration = 0;
+  for (const PartitionResult& r : flow_cache_sequence(model.costs())) {
+    SCOPED_TRACE(iteration);
+    t += model.advance(r, t, iteration++).elapsed;
+    EXPECT_EQ(model.costs().cached_ghost_flows(),
+              pairwise_comm_bytes(r, cfg.ghost, cfg.ncomp));
+  }
 }
 
 TEST(ExecModel, ChromeTraceExportsWellFormedEvents) {

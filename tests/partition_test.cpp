@@ -133,7 +133,8 @@ TEST(AssignSequence, LastProcessorAbsorbsRemainder) {
       Box::from_extent(IntVec(8, 0, 0), IntVec(4, 4, 4)),
       Box::from_extent(IntVec(16, 0, 0), IntVec(4, 4, 4))};
   const PartitionConstraints c;
-  const auto r = assign_sequence(boxes, {0.0, 0.0}, {0, 1}, kWork, c);
+  const auto r =
+      assign_sequence(boxes, {64.0, 64.0, 64.0}, {0.0, 0.0}, {0, 1}, kWork, c);
   EXPECT_DOUBLE_EQ(r.assigned_work[1], 3 * 64.0);
   EXPECT_DOUBLE_EQ(r.assigned_work[0], 0.0);
 }
@@ -175,7 +176,8 @@ TEST(AssignSequence, UnsplittableBoxPolicyTable) {
     std::vector<rank_t> order(tc.targets.size());
     std::iota(order.begin(), order.end(), 0);
     const PartitionResult r =
-        assign_sequence(boxes, tc.targets, order, kWork, c);
+        assign_sequence(boxes, {64.0, 64.0, 64.0}, tc.targets, order, kWork,
+                        c);
     EXPECT_EQ(r.splits, 0);
     EXPECT_EQ(r.assignments.size(), boxes.size());
     ASSERT_EQ(r.assigned_work.size(), tc.expected_work.size());
@@ -185,8 +187,11 @@ TEST(AssignSequence, UnsplittableBoxPolicyTable) {
 }
 
 TEST(AssignSequence, ValidatesArity) {
-  EXPECT_THROW(assign_sequence({}, {}, {}, kWork, {}), Error);
-  EXPECT_THROW(assign_sequence({}, {1.0}, {0, 1}, kWork, {}), Error);
+  EXPECT_THROW(assign_sequence({}, {}, {}, {}, kWork, {}), Error);
+  EXPECT_THROW(assign_sequence({}, {}, {1.0}, {0, 1}, kWork, {}), Error);
+  const std::vector<Box> one{
+      Box::from_extent(IntVec(0, 0, 0), IntVec(4, 4, 4))};
+  EXPECT_THROW(assign_sequence(one, {}, {1.0}, {0}, kWork, {}), Error);
 }
 
 // ---- invariants common to all partitioners --------------------------------
