@@ -173,14 +173,6 @@ void AdaptiveRuntime::stage_repartition(RunTrace& trace, Seconds& t,
   rec.total_work = Work{total_work(boxes, cfg_.work)};
   trace.regrids.push_back(std::move(rec));
 
-  // Refresh the HDDA registry with the new distribution.
-  registry_.clear();
-  const std::int64_t cell_bytes =
-      static_cast<std::int64_t>(cfg_.executor.ncomp) *
-      cfg_.executor.bytes_per_value * cfg_.executor.time_levels;
-  for (const BoxAssignment& a : next.assignments)
-    registry_.insert(a.box, a.owner, a.box.cells() * cell_bytes);
-
   current = std::move(next);
   ++regrid_index;
 }

@@ -9,39 +9,25 @@
 /// bit-identical to the pre-seam runtime — the determinism suite and the
 /// golden-file regressions pin that down.
 ///
-/// Beyond the original it also fills the per-rank busy/comm/idle usage and
-/// illustrative timeline spans (the BSP view: all ranks advance in
-/// lockstep, the slack of non-critical ranks shows up as idle).
-
-#include <vector>
+/// Sensing, regrid and the migration clock splice are the base class's
+/// lockstep stages; this model adds the closed-form migration cost and the
+/// iteration max.  Its lanes show the BSP view: all ranks advance in
+/// lockstep, the slack of non-critical ranks shows up as idle.
 
 #include "sim/exec_model.hpp"
-#include "sim/timeline.hpp"
 
 namespace ssamr::sim {
 
 class BspModel final : public ExecutionModel {
  public:
-  BspModel(const Cluster& cluster, const ExecutorConfig& cfg);
+  BspModel(const Cluster& cluster, const ExecutorConfig& cfg)
+      : ExecutionModel(cluster, cfg) {}
 
   std::string name() const override { return "bsp"; }
-  Seconds sense(Seconds t, Seconds sweep_s, int iteration) override;
-  Seconds regrid(Seconds t, std::size_t boxes, int iteration) override;
   Seconds migrate(const PartitionResult& previous, const PartitionResult& next,
                   Seconds t) override;
   StepCost advance(const PartitionResult& r, Seconds t,
                    int iteration) override;
-  void finish(RunTrace& trace, Seconds t_end) override;
-  const VirtualExecutor& costs() const override { return exec_; }
-
- private:
-  const Cluster& cluster_;
-  VirtualExecutor exec_;
-  std::vector<RankTimeline> lanes_;  ///< ranks 0..n-1, monitor lane at n
-  /// Regrid charge of the current repartition stage: the driver adds
-  /// regrid + migration to the clock together, so the migration spans
-  /// recorded by migrate() start after this offset.
-  Seconds pending_regrid_s_{0};
 };
 
 }  // namespace ssamr::sim

@@ -7,9 +7,10 @@
 /// exchange and data migration), probe sweeps (the resource monitor
 /// querying every node), and regrid/repartition barriers.  Compute spans,
 /// sweeps and barriers are recorded directly on the per-rank timelines
-/// (timeline.hpp); transfers additionally flow through the fluid network
-/// simulation (message_sim.hpp) which resolves endpoint bandwidth
-/// contention before their completion times are known.
+/// (timeline.hpp) as TraceSpans.  Only transfers need a type of their own:
+/// they flow through the fluid network simulation (message_sim.hpp), which
+/// resolves endpoint bandwidth contention before their completion times
+/// are known.
 
 #include <cstdint>
 
@@ -25,32 +26,9 @@ struct Transfer {
   Bytes bytes{0};
   /// When the payload is handed to the NIC (absolute virtual time).
   Seconds post_time{0};
-  /// Completion time, filled in by simulate_transfers().
+  /// Completion time, filled in by the fluid network simulation
+  /// (simulate_transfers or simulate_transfers_indexed).
   Seconds finish_time{0};
-};
-
-/// A rank executing its assigned patches for one coarse iteration.
-struct ComputeSpan {
-  int rank = 0;
-  int iteration = 0;
-  Seconds begin{0};
-  Seconds duration{0};
-};
-
-/// One full probe sweep of the resource monitor (runs on the monitor lane,
-/// overlapping rank execution in the event model).
-struct ProbeSweep {
-  int iteration = 0;
-  Seconds begin{0};
-  Seconds duration{0};
-};
-
-/// A regrid/repartition barrier: every rank synchronizes, then performs
-/// flagging + clustering + partitioning work of the given duration.
-struct RegridBarrier {
-  int iteration = 0;
-  Seconds begin{0};     ///< barrier release time (max over rank clocks)
-  Seconds duration{0};  ///< regrid + partition work charged to every rank
 };
 
 }  // namespace ssamr::sim

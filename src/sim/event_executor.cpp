@@ -8,19 +8,6 @@
 
 namespace ssamr::sim {
 
-EventExecutor::EventExecutor(const Cluster& cluster,
-                             const ExecutorConfig& cfg)
-    : cluster_(cluster), exec_(cluster, cfg) {
-  const int n = cluster.size();
-  lanes_.reserve(static_cast<std::size_t>(n) + 1);
-  for (int k = 0; k <= n; ++k) lanes_.emplace_back(k);
-}
-
-Seconds EventExecutor::rank_time(rank_t rank) const {
-  SSAMR_REQUIRE(rank >= 0 && rank < cluster_.size(), "rank out of range");
-  return lanes_[static_cast<std::size_t>(rank)].now();
-}
-
 std::vector<MbitsPerSec> EventExecutor::bandwidths_at(Seconds t) const {
   const auto n = static_cast<std::size_t>(cluster_.size());
   std::vector<MbitsPerSec> bw(n, MbitsPerSec{0});
@@ -33,13 +20,6 @@ std::vector<MbitsPerSec> EventExecutor::bandwidths_at(Seconds t) const {
                 .bandwidth_mbps;
   }
   return bw;
-}
-
-Seconds EventExecutor::horizon() const {
-  Seconds h{0};
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  for (std::size_t k = 0; k < n; ++k) h = std::max(h, lanes_[k].now());
-  return h;
 }
 
 void EventExecutor::run_network(std::vector<Transfer>& transfers, Seconds t) {
@@ -155,22 +135,6 @@ StepCost EventExecutor::advance(const PartitionResult& r, Seconds t,
   const Seconds elapsed = ready[crit] - t;
   const Seconds compute = std::min(comp[crit], elapsed);
   return StepCost{elapsed, compute, elapsed - compute};
-}
-
-void EventExecutor::finish(RunTrace& trace, Seconds t_end) {
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  // The driver's clock re-rounds the stage deltas it accumulated, so it
-  // can sit an ulp below the true lane horizon; never rewind a lane.
-  const Seconds end = std::max(t_end, horizon());
-  trace.rank_usage.clear();
-  trace.spans.clear();
-  for (std::size_t k = 0; k < n; ++k) {
-    lanes_[k].advance(end, SpanKind::kIdle);  // run tail
-    trace.rank_usage.push_back(lanes_[k].usage());
-  }
-  for (const RankTimeline& lane : lanes_)
-    trace.spans.insert(trace.spans.end(), lane.spans().begin(),
-                       lane.spans().end());
 }
 
 }  // namespace ssamr::sim

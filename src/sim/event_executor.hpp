@@ -26,7 +26,6 @@
 #include "sim/event.hpp"
 #include "sim/exec_model.hpp"
 #include "sim/message_sim.hpp"
-#include "sim/timeline.hpp"
 
 namespace ssamr::sim {
 
@@ -39,7 +38,8 @@ class EventExecutor final : public ExecutionModel {
   /// golden-pinned configuration (all use P ≤ 32).
   static constexpr int kIndexedSimRanks = 64;
 
-  EventExecutor(const Cluster& cluster, const ExecutorConfig& cfg);
+  EventExecutor(const Cluster& cluster, const ExecutorConfig& cfg)
+      : ExecutionModel(cluster, cfg) {}
 
   std::string name() const override { return "event"; }
   Seconds sense(Seconds t, Seconds sweep_s, int iteration) override;
@@ -48,11 +48,6 @@ class EventExecutor final : public ExecutionModel {
                   Seconds t) override;
   StepCost advance(const PartitionResult& r, Seconds t,
                    int iteration) override;
-  void finish(RunTrace& trace, Seconds t_end) override;
-  const VirtualExecutor& costs() const override { return exec_; }
-
-  /// Local clock of one rank (test access).
-  Seconds rank_time(rank_t rank) const;
 
   /// Discrete network events processed so far (one admission + one
   /// completion per transfer that entered the fluid simulation).
@@ -61,16 +56,11 @@ class EventExecutor final : public ExecutionModel {
  private:
   /// Deliverable bandwidth of every rank at virtual time t.
   std::vector<MbitsPerSec> bandwidths_at(Seconds t) const;
-  /// Latest local clock over all ranks (excludes the monitor lane).
-  Seconds horizon() const;
   /// Run `transfers` through the fluid network at time-t bandwidths,
   /// choosing the exact or indexed simulator by cluster size and
   /// accumulating events_.
   void run_network(std::vector<Transfer>& transfers, Seconds t);
 
-  const Cluster& cluster_;
-  VirtualExecutor exec_;
-  std::vector<RankTimeline> lanes_;  ///< ranks 0..n-1, monitor lane at n
   std::size_t events_ = 0;
   // Simulation scratch, reused across advance()/migrate() calls: at
   // P = 16384 one network step churns ~40 MB of simulator state, and

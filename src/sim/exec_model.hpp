@@ -4,7 +4,7 @@
 ///
 /// AdaptiveRuntime::run() decides *what* happens — sense, adopt
 /// capacities, partition, migrate, advance — and an ExecutionModel decides
-/// *what it costs* on the virtual cluster.  Two implementations ship:
+/// *what it costs* on the virtual cluster.  Three implementations ship:
 ///
 ///  - BspModel (bsp_model.hpp): the closed-form BSP accounting extracted
 ///    from the original runtime loop, bit-identical to it.  Every stage is
@@ -22,14 +22,20 @@
 ///    virtual time.  Nondeterministic by construction; never golden-pinned.
 ///
 /// All models expose the same stage interface; each stage returns the
-/// virtual time it adds to the driver's global clock.
+/// virtual time it adds to the driver's global clock.  The base class owns
+/// what the three share: the cost library, the P + 1 timeline lanes (ranks
+/// 0..P−1, monitor lane at P), the lockstep sense/regrid/migration clock
+/// splice that bsp and proc charge, and finish().  A model overrides only
+/// the stages it prices differently.
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "partition/partitioner.hpp"
 #include "sim/executor.hpp"
+#include "sim/timeline.hpp"
 #include "sim/trace.hpp"
 #include "util/types.hpp"
 #include "util/units.hpp"
@@ -64,18 +70,21 @@ class ExecutionModel {
  public:
   virtual ~ExecutionModel() = default;
 
+  ExecutionModel(const ExecutionModel&) = delete;
+  ExecutionModel& operator=(const ExecutionModel&) = delete;
+
   /// Model identifier recorded in RunTrace::model.
   virtual std::string name() const = 0;
 
   /// A probe sweep of duration `sweep_s` issued at global time t.  Returns
-  /// the global-clock charge (BSP: sweep_s, serial; event model: 0, the
-  /// sweep overlaps execution on the monitor lane).
-  virtual Seconds sense(Seconds t, Seconds sweep_s, int iteration) = 0;
+  /// the global-clock charge.  Default (bsp, proc): charged serially —
+  /// every rank idles through the sweep and the charge is sweep_s.
+  virtual Seconds sense(Seconds t, Seconds sweep_s, int iteration);
 
-  /// Regrid + repartition work over `boxes` composite boxes at time t
-  /// (a barrier in the event model).
-  virtual Seconds regrid(Seconds t, std::size_t boxes,
-                         int iteration) = 0;
+  /// Regrid + repartition work over `boxes` composite boxes at time t.
+  /// Default (bsp, proc): every rank spends the closed-form regrid +
+  /// partition cost in lockstep from t.
+  virtual Seconds regrid(Seconds t, std::size_t boxes, int iteration);
 
   /// Data migration from `previous` to `next` ownership, starting at the
   /// pre-regrid global time t (`previous` empty = initial scatter).
@@ -86,13 +95,35 @@ class ExecutionModel {
   virtual StepCost advance(const PartitionResult& r, Seconds t,
                            int iteration) = 0;
 
-  /// Fill the model-specific RunTrace extensions (rank usage, spans) once
-  /// the driver loop is done; `t_end` is the final global time.
-  virtual void finish(RunTrace& trace, Seconds t_end) = 0;
+  /// Fill the RunTrace's per-rank usage and spans once the driver loop is
+  /// done: every rank lane idles to max(t_end, horizon()) (the run tail).
+  /// `t_end` is the final global time.
+  void finish(RunTrace& trace, Seconds t_end);
 
-  /// The closed-form cost library both models share (memory footprints,
+  /// The closed-form cost library all models share (memory footprints,
   /// per-rank rates, migration volumes).
-  virtual const VirtualExecutor& costs() const = 0;
+  const VirtualExecutor& costs() const { return exec_; }
+
+ protected:
+  ExecutionModel(const Cluster& cluster, const ExecutorConfig& cfg);
+
+  /// Latest local clock over all ranks (excludes the monitor lane).
+  Seconds horizon() const;
+
+  /// The lockstep migration splice: charge `cost` of migration priced at
+  /// the pre-regrid time t, recording it on every rank lane after the
+  /// regrid work of the default regrid().  Returns `cost`.
+  Seconds lockstep_migrate(Seconds t, Seconds cost);
+
+  const Cluster& cluster_;
+  VirtualExecutor exec_;
+  std::vector<sim::RankTimeline> lanes_;  ///< ranks 0..n-1, monitor lane at n
+
+ private:
+  /// Regrid charge of the current lockstep repartition: the driver adds
+  /// regrid + migration to the clock together, so the migration spans
+  /// start after this offset.
+  Seconds pending_regrid_s_{0};
 };
 
 /// Build the requested model over `cluster` with cost knobs `cfg`.

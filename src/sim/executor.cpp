@@ -60,11 +60,6 @@ std::vector<Seconds> VirtualExecutor::compute_times(const PartitionResult& r,
   return out;
 }
 
-std::vector<Seconds> VirtualExecutor::comm_times(const PartitionResult& r,
-                                                 Seconds t) const {
-  return comm_times(pairwise_comm_bytes(r, cfg_.ghost, cfg_.ncomp), t);
-}
-
 std::vector<Seconds> VirtualExecutor::comm_times(
     const std::vector<RankFlow>& flows, Seconds t) const {
   const auto n = static_cast<std::size_t>(cluster_.size());
@@ -94,12 +89,6 @@ std::vector<Seconds> VirtualExecutor::comm_times(
 }
 
 std::vector<Seconds> VirtualExecutor::effective_comm_times(
-    const PartitionResult& r, Seconds t) const {
-  return effective_comm_times(pairwise_comm_bytes(r, cfg_.ghost, cfg_.ncomp),
-                              t);
-}
-
-std::vector<Seconds> VirtualExecutor::effective_comm_times(
     const std::vector<RankFlow>& flows, Seconds t) const {
   auto comm = comm_times(flows, t);
   const real_t visible = 1.0 - cfg_.comm_overlap.value();
@@ -114,16 +103,6 @@ const std::vector<RankFlow>& VirtualExecutor::ghost_flows(
     ghost_flows_key_ = r;
   }
   return ghost_flows_;
-}
-
-Seconds VirtualExecutor::iteration_time(const PartitionResult& r,
-                                        Seconds t) const {
-  const auto comp = compute_times(r, t);
-  const auto comm = effective_comm_times(r, t);
-  Seconds worst{0};
-  for (std::size_t k = 0; k < comp.size(); ++k)
-    worst = std::max(worst, comp[k] + comm[k]);
-  return worst;
 }
 
 Seconds VirtualExecutor::regrid_time(std::size_t boxes) const {

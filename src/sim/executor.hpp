@@ -86,27 +86,18 @@ class VirtualExecutor {
   /// Memory demand of a rank under an assignment.
   MegaBytes memory_demand_mb(const PartitionResult& r, rank_t rank) const;
 
-  /// Time of one coarse iteration starting at virtual time t.
-  Seconds iteration_time(const PartitionResult& r, Seconds t) const;
-
   /// Per-rank compute time of one iteration at time t (test access).
   std::vector<Seconds> compute_times(const PartitionResult& r,
                                      Seconds t) const;
 
-  /// Per-rank raw (un-overlapped) communication time of one iteration.
-  std::vector<Seconds> comm_times(const PartitionResult& r, Seconds t) const;
-
-  /// comm_times for an iteration whose ghost traffic is `flows` (the
-  /// pairwise_comm_bytes list of its partition, e.g. from ghost_flows()).
+  /// Per-rank raw (un-overlapped) communication time of one iteration
+  /// whose ghost traffic is `flows` (the pairwise_comm_bytes list of its
+  /// partition, e.g. from ghost_flows()).
   std::vector<Seconds> comm_times(const std::vector<RankFlow>& flows,
                                   Seconds t) const;
 
   /// Per-rank communication time after overlap with computation:
-  /// (1 − comm_overlap) · raw.
-  std::vector<Seconds> effective_comm_times(const PartitionResult& r,
-                                            Seconds t) const;
-
-  /// effective_comm_times for an iteration whose ghost traffic is `flows`.
+  /// (1 − comm_overlap) · comm_times(flows, t).
   std::vector<Seconds> effective_comm_times(
       const std::vector<RankFlow>& flows, Seconds t) const;
 

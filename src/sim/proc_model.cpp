@@ -53,13 +53,10 @@ void sleep_ms(int ms) {
 }  // namespace
 
 ProcModel::ProcModel(const Cluster& cluster, const ExecutorConfig& cfg)
-    : cluster_(cluster), exec_(cluster, cfg), opt_(cfg.proc) {
+    : ExecutionModel(cluster, cfg), opt_(cfg.proc) {
   const int n = cluster.size();
   const audit::AuditReport report = audit::validate_proc_options(opt_, n);
   SSAMR_REQUIRE(report.ok(), report.summary());
-
-  lanes_.reserve(static_cast<std::size_t>(n) + 1);
-  for (int k = 0; k <= n; ++k) lanes_.emplace_back(k);
 
   // All sockets exist before the first fork, so every child inherits the
   // full set and keeps only its own ends.
@@ -239,29 +236,18 @@ std::vector<PhaseReport> ProcModel::run_phase(
   return reports;
 }
 
-Seconds ProcModel::sense(Seconds t, Seconds sweep_s, int iteration) {
-  // Sensing is the monitor's virtual sweep — no rank process involvement —
-  // and is charged serially exactly like the BSP model, so sense cost
-  // cancels in event-vs-proc cross-validation.
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  for (std::size_t k = 0; k < n; ++k)
-    lanes_[k].advance(t + sweep_s, SpanKind::kIdle, iteration);
-  lanes_[n].skip_to(t);
-  lanes_[n].advance(t + sweep_s, SpanKind::kSense, iteration);
-  return sweep_s;
-}
-
-Seconds ProcModel::regrid(Seconds t, std::size_t boxes, int iteration) {
-  // Regrid + repartition run for real in the coordinator (the driver calls
-  // the actual partitioner); their virtual charge stays the closed-form
-  // model shared with BSP so the event-vs-proc comparison isolates the
-  // phases the ranks execute.
-  const Seconds cost = exec_.regrid_time(boxes) + exec_.partition_time(boxes);
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  for (std::size_t k = 0; k < n; ++k)
-    lanes_[k].advance(t + cost, SpanKind::kRegrid, iteration);
-  pending_regrid_s_ = cost;
-  return cost;
+void ProcModel::add_wire_flows(std::vector<PhasePlan>& plans,
+                               const std::vector<RankFlow>& flows) const {
+  for (const RankFlow& f : flows) {
+    const double scaled = static_cast<double>(f.bytes) * opt_.bytes_scale;
+    const auto wire =
+        static_cast<std::uint64_t>(std::clamp(scaled, 0.0, 1.0e15));
+    if (wire == 0) continue;
+    plans[static_cast<std::size_t>(f.src)].sends.push_back(
+        WireFlow{f.dst, wire});
+    plans[static_cast<std::size_t>(f.dst)].recvs.push_back(
+        WireFlow{f.src, wire});
+  }
 }
 
 Seconds ProcModel::migrate(const PartitionResult& previous,
@@ -279,28 +265,10 @@ Seconds ProcModel::migrate(const PartitionResult& previous,
     p.owners = owners;
     p.capacities.assign(next.target_work.begin(), next.target_work.end());
   }
-  const auto scale = [this](std::int64_t bytes) {
-    const double scaled = static_cast<double>(bytes) * opt_.bytes_scale;
-    return static_cast<std::uint64_t>(std::clamp(scaled, 0.0, 1.0e15));
-  };
-  for (const RankFlow& f : exec_.migration_flows(previous, next)) {
-    const std::uint64_t wire = scale(f.bytes);
-    if (wire == 0) continue;
-    plans[static_cast<std::size_t>(f.src)].sends.push_back(
-        WireFlow{f.dst, wire});
-    plans[static_cast<std::size_t>(f.dst)].recvs.push_back(
-        WireFlow{f.src, wire});
-  }
+  add_wire_flows(plans, exec_.migration_flows(previous, next));
   double window = 0;
   run_phase(plans, &window);
-  const Seconds cost = opt_.to_virtual(window);
-  // Same clock splice as BspModel: the driver pre-sums regrid + migration,
-  // so the lanes must land on t + (a + b) with that exact rounding.
-  const Seconds end = t + (pending_regrid_s_ + cost);
-  pending_regrid_s_ = Seconds{0};
-  for (int k = 0; k < n; ++k)
-    lanes_[static_cast<std::size_t>(k)].advance(end, SpanKind::kMigrate);
-  return cost;
+  return lockstep_migrate(t, opt_.to_virtual(window));
 }
 
 StepCost ProcModel::advance(const PartitionResult& r, Seconds t,
@@ -316,18 +284,7 @@ StepCost ProcModel::advance(const PartitionResult& r, Seconds t,
         comp[static_cast<std::size_t>(k)].value() * opt_.time_scale;
     p.compute_wall_s = sleep_s;
   }
-  const auto scale = [this](std::int64_t bytes) {
-    const double scaled = static_cast<double>(bytes) * opt_.bytes_scale;
-    return static_cast<std::uint64_t>(std::clamp(scaled, 0.0, 1.0e15));
-  };
-  for (const RankFlow& f : exec_.ghost_flows(r)) {
-    const std::uint64_t wire = scale(f.bytes);
-    if (wire == 0) continue;
-    plans[static_cast<std::size_t>(f.src)].sends.push_back(
-        WireFlow{f.dst, wire});
-    plans[static_cast<std::size_t>(f.dst)].recvs.push_back(
-        WireFlow{f.src, wire});
-  }
+  add_wire_flows(plans, exec_.ghost_flows(r));
 
   double window = 0;
   const std::vector<PhaseReport> reports = run_phase(plans, &window);
@@ -358,19 +315,6 @@ StepCost ProcModel::advance(const PartitionResult& r, Seconds t,
   // critical rank's compute — peer exchange plus protocol overhead — is
   // reported as communication, mirroring the BSP convention.
   return StepCost{elapsed, worst_comp, elapsed - worst_comp};
-}
-
-void ProcModel::finish(RunTrace& trace, Seconds t_end) {
-  const auto n = static_cast<std::size_t>(cluster_.size());
-  trace.rank_usage.clear();
-  trace.spans.clear();
-  for (std::size_t k = 0; k < n; ++k) {
-    lanes_[k].advance(t_end, SpanKind::kIdle);
-    trace.rank_usage.push_back(lanes_[k].usage());
-  }
-  for (const RankTimeline& lane : lanes_)
-    trace.spans.insert(trace.spans.end(), lane.spans().begin(),
-                       lane.spans().end());
 }
 
 }  // namespace ssamr::sim

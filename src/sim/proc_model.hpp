@@ -12,6 +12,12 @@
 /// nanosleep and move the planned bytes through a nonblocking exchange
 /// engine, and the measured wall-clock comes back as PhaseReport frames.
 ///
+/// Sensing and regrid are not rank phases: the monitor sweep is virtual,
+/// and regrid + repartition run for real in the coordinator (the driver
+/// calls the actual partitioner).  Both keep the base class's lockstep
+/// closed-form charge, like BSP, so event-vs-proc cross-validation
+/// isolates the phases the ranks execute.
+///
 /// Measured wall time is normalized by ProcOptions::time_scale back into
 /// virtual seconds so the stage interface, RankTimeline lanes and
 /// Chrome-trace output stay directly comparable with the other models —
@@ -33,7 +39,6 @@
 #include "net/frame.hpp"
 #include "sim/exec_model.hpp"
 #include "sim/proc_protocol.hpp"
-#include "sim/timeline.hpp"
 
 namespace ssamr::sim {
 
@@ -51,18 +56,11 @@ class ProcModel final : public ExecutionModel {
   ProcModel(const Cluster& cluster, const ExecutorConfig& cfg);
   ~ProcModel() override;
 
-  ProcModel(const ProcModel&) = delete;
-  ProcModel& operator=(const ProcModel&) = delete;
-
   std::string name() const override { return "proc"; }
-  Seconds sense(Seconds t, Seconds sweep_s, int iteration) override;
-  Seconds regrid(Seconds t, std::size_t boxes, int iteration) override;
   Seconds migrate(const PartitionResult& previous,
                   const PartitionResult& next, Seconds t) override;
   StepCost advance(const PartitionResult& r, Seconds t,
                    int iteration) override;
-  void finish(RunTrace& trace, Seconds t_end) override;
-  const VirtualExecutor& costs() const override { return exec_; }
 
   /// Live child pids, rank-ordered (test access: reap verification).
   const std::vector<pid_t>& child_pids() const { return pids_; }
@@ -79,13 +77,14 @@ class ProcModel final : public ExecutionModel {
   std::vector<PhaseReport> run_phase(const std::vector<PhasePlan>& plans,
                                      double* window_wall_s);
 
+  /// Add `flows`, scaled to wire bytes, to the sends and receives of the
+  /// per-rank `plans`; flows that scale to zero bytes are dropped.
+  void add_wire_flows(std::vector<PhasePlan>& plans,
+                      const std::vector<RankFlow>& flows) const;
+
   void shutdown_children() noexcept;
 
-  const Cluster& cluster_;
-  VirtualExecutor exec_;
   ProcOptions opt_;
-  std::vector<RankTimeline> lanes_;
-  Seconds pending_regrid_s_{0};
 
   std::vector<pid_t> pids_;
   std::vector<int> ctrl_fds_;  ///< coordinator end, per rank

@@ -10,7 +10,9 @@
 // price ghost exchange from the executor's per-partition flow cache, which
 // must follow every partition change.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -92,6 +94,50 @@ TEST(ExecModel, BspReproducesPreSeamTraceBitExactly) {
   EXPECT_EQ(t.regrids.back().vtime, Seconds{0x1.16cd476e0311ap+3});
   EXPECT_EQ(t.regrids.back().splits, 3);
   EXPECT_EQ(t.regrids.back().num_boxes, 17u);
+}
+
+/// FNV-1a (64-bit) over every span (rank, kind, iteration, t0/t1 bit
+/// patterns) and every rank's busy/comm/idle bit patterns, in trace order:
+/// one number that moves when any lane records anything differently.
+std::uint64_t lane_hash(const RunTrace& t) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_s = [&mix](Seconds s) {
+    mix(std::bit_cast<std::uint64_t>(s.value()));
+  };
+  for (const TraceSpan& s : t.spans) {
+    mix(static_cast<std::uint64_t>(s.rank));
+    mix(static_cast<std::uint64_t>(s.kind));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(s.iteration)));
+    mix_s(s.t0);
+    mix_s(s.t1);
+  }
+  for (const RankUsage& u : t.rank_usage) {
+    mix_s(u.busy_s);
+    mix_s(u.comm_s);
+    mix_s(u.idle_s);
+  }
+  return h;
+}
+
+// Span pins: the lane hash of the scenario above, captured before the
+// per-rank lanes moved from the models into the ExecutionModel base.  The
+// totals pinned above cannot see a span that moved, split or changed kind.
+TEST(ExecModel, BspSpansMatchPin) {
+  const RunTrace t = run_scenario(ExecModelKind::kBsp);
+  EXPECT_EQ(t.spans.size(), 272u);
+  EXPECT_EQ(lane_hash(t), 0x384df44697bd29f0ULL);
+}
+
+TEST(ExecModel, EventSpansMatchPin) {
+  const RunTrace t = run_scenario(ExecModelKind::kEvent);
+  EXPECT_EQ(t.spans.size(), 143u);
+  EXPECT_EQ(lane_hash(t), 0xb77b32b4c93b9e07ULL);
 }
 
 /// Structural envelope every model must satisfy.
@@ -212,8 +258,8 @@ std::vector<PartitionResult> flow_cache_sequence(const VirtualExecutor& exec) {
     b = a;
     b.assignments[i].owner = (b.assignments[i].owner + 1) % 4;
     found = flows(b) != flows(a) &&
-            exec.effective_comm_times(b, Seconds{0}) !=
-                exec.effective_comm_times(a, Seconds{0});
+            exec.effective_comm_times(flows(b), Seconds{0}) !=
+                exec.effective_comm_times(flows(a), Seconds{0});
   }
   EXPECT_TRUE(found) << "no single owner change moves the ghost flows";
   return {a, a, b, b, a, c};
@@ -230,7 +276,8 @@ TEST(ExecModel, BspFlowCacheFollowsPartitionChanges) {
     SCOPED_TRACE(iteration);
     // The closed form of BspModel::advance on the uncached comm times.
     const std::vector<Seconds> comp = exec.compute_times(r, t);
-    const std::vector<Seconds> comm = exec.effective_comm_times(r, t);
+    const std::vector<Seconds> comm = exec.effective_comm_times(
+        pairwise_comm_bytes(r, cfg.ghost, cfg.ncomp), t);
     Seconds worst{0};
     std::size_t worst_k = 0;
     for (std::size_t k = 0; k < comp.size(); ++k) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
+#include "sim/bsp_model.hpp"
 #include "sim/executor.hpp"
 
 namespace ssamr {
@@ -17,6 +18,11 @@ PartitionResult simple_partition() {
   r.assigned_work = {512.0, 512.0};
   r.target_work = {512.0, 512.0};
   return r;
+}
+
+/// Ghost flows of simple_partition() at `cfg`'s ghost width and components.
+std::vector<RankFlow> simple_flows(const ExecutorConfig& cfg) {
+  return pairwise_comm_bytes(simple_partition(), cfg.ghost, cfg.ncomp);
 }
 
 ExecutorConfig test_config() {
@@ -59,8 +65,10 @@ TEST(Executor, LoadedNodeComputesSlower) {
   const auto times = ex.compute_times(simple_partition(), Seconds{0.0});
   EXPECT_NEAR(times[0].value(), 2.0, 1e-9);
   EXPECT_NEAR(times[1].value(), 1.0, 1e-9);
-  EXPECT_NEAR(ex.iteration_time(simple_partition(), Seconds{0.0}).value(), 2.0,
-              0.1);
+  // The slow rank sets the BSP iteration time.
+  sim::BspModel bsp(c, test_config());
+  EXPECT_NEAR(bsp.advance(simple_partition(), Seconds{0.0}, 0).elapsed.value(),
+              2.0, 0.1);
 }
 
 TEST(Executor, MonitorIntrusionShavesRate) {
@@ -77,7 +85,7 @@ TEST(Executor, MonitorIntrusionShavesRate) {
 TEST(Executor, CommTimesReflectPartitionBoundary) {
   Cluster c = Cluster::homogeneous(2);
   VirtualExecutor ex(c, test_config());
-  const auto comm = ex.comm_times(simple_partition(), Seconds{0.0});
+  const auto comm = ex.comm_times(simple_flows(test_config()), Seconds{0.0});
   // Two ranks share an 8x8 face, ghost 1: 64 cells each way, 8 B/cell.
   EXPECT_GT(comm[0], Seconds{0.0});
   EXPECT_NEAR(comm[0].value(), comm[1].value(), 1e-12);
@@ -90,9 +98,9 @@ TEST(Executor, OverlapHidesCommunication) {
   VirtualExecutor ex_overlap(c, cfg);
   VirtualExecutor ex_raw(c, test_config());
   const auto raw =
-      ex_raw.effective_comm_times(simple_partition(), Seconds{0.0});
+      ex_raw.effective_comm_times(simple_flows(cfg), Seconds{0.0});
   const auto hidden =
-      ex_overlap.effective_comm_times(simple_partition(), Seconds{0.0});
+      ex_overlap.effective_comm_times(simple_flows(cfg), Seconds{0.0});
   EXPECT_NEAR(hidden[0].value(), raw[0].value() * 0.25, 1e-12);
 }
 
